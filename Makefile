@@ -11,7 +11,7 @@ BENCHTIME ?= 1s
 # a fixed round count keeps its samples/sec numbers comparable across
 # runs (time-based -benchtime would vary the round count with load).
 SERVE_BENCHTIME ?= 200x
-# The wire-codec benchmark opens up to 1024 real TCP connections per
+# The wire benchmark opens up to 1024 real TCP connections per
 # sub-benchmark; a smaller fixed round count keeps the full sweep short
 # while still averaging thousands of requests per data point.
 WIRE_BENCHTIME ?= 20x
@@ -22,7 +22,7 @@ SPARSE_BENCHTIME ?= 10x
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check fmt-check build vet staticcheck govulncheck test race chaos bench bench-json
+.PHONY: check fmt-check build vet staticcheck govulncheck test race chaos fuzz-smoke bench bench-json
 
 check: fmt-check build vet staticcheck test
 
@@ -78,13 +78,25 @@ chaos:
 	$(GO) test -count 1 -run 'TestChaos|TestFault|TestQuorum|TestNodeServer|TestPartialProofs' \
 		-v ./internal/wire/
 
+# Native fuzzing of every wire decoder that sees untrusted bytes (the
+# Fuzz* targets in internal/wire, seeded from the golden frames), FUZZTIME
+# per target: go test fuzzes one target per invocation. A crasher is
+# written to internal/wire/testdata/fuzz/<Target>/; commit it, and plain
+# `go test` replays it as a regression case from then on.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@for f in $$($(GO) test -list '^Fuzz' ./internal/wire/ | grep '^Fuzz'); do \
+		echo "fuzzing $$f for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) -parallel 2 ./internal/wire/ || exit 1; \
+	done
+
 # Hot-path benchmarks: group-level multiplication/exponentiation atoms
 # (dense + sparse MultiExp), FEIP primitive costs (sequential +
 # shared-key parallel + coordinate-form sparse encryption), the dlog
 # solver (sequential + shared-table parallel + the top-k descending
 # scan), the securemat batched encrypt/decrypt pipelines, the
 # prediction-serving throughput engine (coalesced vs serial over
-# loopback TCP), the sparse serving sweep (dense full-solve vs
+# loopback TCP, and the connection-count sweep), the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the
 # threshold-quorum key-derivation overhead vs a
 # single authority, the paper's Fig. 3 element-wise pipeline, and the

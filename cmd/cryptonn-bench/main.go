@@ -161,7 +161,8 @@ func icdExp(bits int, paper bool, densities string, topk, par int, seed int64) e
 	return nil
 }
 
-// ablationExp prints the design-choice ablations (DESIGN.md §3): the
+// ablationExp prints the design-choice ablations, each an implementation
+// choice the paper leaves open measured against its alternative: the
 // dot-product-vs-element-wise composition the paper separates "due to
 // efficiency considerations", the parallelization sweep, and the
 // security-parameter cost curve.

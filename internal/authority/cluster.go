@@ -71,7 +71,8 @@ type Cluster struct {
 
 // NewCluster runs the FEBO DKG and prepares an N-node cluster with
 // reconstruction threshold t. Randomness is drawn from rnd (crypto/rand
-// when nil).
+// when nil); nodes draw proof nonces from it concurrently, so it must be
+// safe for concurrent use.
 func NewCluster(params *group.Params, policy Policy, t, n int, rnd io.Reader) (*Cluster, []*Node, error) {
 	if params == nil {
 		return nil, nil, errors.New("authority: nil group parameters")

@@ -49,7 +49,8 @@ type EncryptedBatch struct {
 // EncryptBatch encrypts a (features × batch) input matrix and a
 // (classes × batch) one-hot label matrix for dense-first-layer training.
 //
-// The input is encrypted in both orientations (DESIGN.md §4) but without
+// The input is encrypted in both orientations (the row orientation feeds
+// the secure first-layer gradient; see the package doc) but without
 // FEBO element ciphertexts (only dot-products touch X); the label is
 // encrypted element-wise and column-wise (both secure back-propagation
 // paths touch Y).

@@ -19,7 +19,7 @@
 // paper's point: CryptoNN adapts to any model whose boundary computations
 // reduce to the permitted function set F.
 //
-// One gap in the paper is filled explicitly here (see DESIGN.md §4): the
+// One gap in the paper is filled explicitly here: the
 // first layer's weight gradient dW = dZ·Xᵀ also involves the encrypted X.
 // We realize it with the same FEIP machinery over a second, row-oriented
 // encryption of X (securemat.Engine.SecureDotRows), so training truly

@@ -294,7 +294,8 @@ func (t *Trainer) TrainBatch(enc *EncryptedBatch, opt nn.Optimizer) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	// ... plus the secure first-layer gradient (DESIGN.md §4).
+	// ... plus the secure first-layer gradient, the gap in Algorithm 2
+	// that the package doc describes.
 	if err := t.secureFirstLayerGrad(layer0, enc, dZ0); err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@
 //     affine jitter and pixel noise, giving a 10-class 28×28 problem with
 //     the same interface and the same role in the experiments: both the
 //     plaintext baseline and CryptoCNN train on identical data, so the
-//     accuracy-parity and overhead measurements are preserved (DESIGN.md §4).
+//     accuracy-parity and overhead measurements are preserved.
 package mnist
 
 import (

@@ -42,9 +42,6 @@
 // needs the first-layer weight gradient dW = dZ·Xᵀ during back-propagation
 // but never spells out how to compute it when X is encrypted; inner
 // products against rows of X (feature vectors across the batch) make it
-// expressible in the very same FEIP machinery. See DESIGN.md §4.
-//
-// The package-level functions mirroring the methods (Encrypt, DotKeys,
-// SecureDot, ...) are the pre-Engine stateless API, kept for one release
-// as thin deprecated wrappers.
+// expressible in the very same FEIP machinery (internal/core/doc.go
+// describes where training uses it).
 package securemat

@@ -299,44 +299,3 @@ func TestEngineSharedAcrossGoroutinesHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// The legacy stateless wrappers must keep working for one release; this is
-// their only remaining in-repo exercise.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	auth, eng := newFixture(t, 1_000_000)
-	solver := eng.Solver()
-	x := [][]int64{{1, 2}, {3, 4}}
-	w := [][]int64{{1, -1}}
-	//lint:ignore SA1019 transitional wrapper under test
-	enc, err := securemat.Encrypt(auth, x, securemat.EncryptOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 transitional wrapper under test
-	keys, err := securemat.DotKeys(auth, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 transitional wrapper under test
-	z, err := securemat.SecureDot(auth, enc, keys, w, solver, securemat.ComputeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matEqual(z, plainDot(w, x)) {
-		t.Error("wrapper SecureDot mismatch")
-	}
-	y := [][]int64{{1, 1}, {1, 1}}
-	//lint:ignore SA1019 transitional wrapper under test
-	ewKeys, err := securemat.ElementwiseKeys(auth, enc, securemat.ElementwiseAdd, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 transitional wrapper under test
-	s, err := securemat.SecureElementwise(auth, enc, ewKeys, securemat.ElementwiseAdd, y, solver, securemat.ComputeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s[1][1] != 5 {
-		t.Error("wrapper SecureElementwise mismatch")
-	}
-}

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -72,13 +74,13 @@ func TestPredictionOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", l.Addr().String())
+	conn, err := wire.Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := wire.RequestPrediction(conn, predEnc)
+	got, err := conn.Predict(ctx, predEnc, 0)
 	if err != nil {
-		t.Fatalf("RequestPrediction: %v", err)
+		t.Fatalf("Predict: %v", err)
 	}
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
@@ -137,32 +139,42 @@ func TestPredictionServerRejectsGarbage(t *testing.T) {
 	go func() { served <- srv.ServePredictions(ctx, l) }()
 	defer func() { cancel(); <-served }()
 
-	conn, err := net.Dial("tcp", l.Addr().String())
+	cc, err := wire.Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	defer cc.Close()
 
-	// Wrong kind.
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindDone}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := wire.ReadMsg(conn, &resp); err != nil {
+	// Wrong kind: key traffic sent to a prediction server.
+	resp, err := cc.Call(ctx, &wire.Request{Kind: wire.KindFEBOPublic})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Err == "" {
 		t.Error("wrong-kind request accepted")
 	}
 
-	// Undecodable payload.
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindPredict, Payload: []byte("junk")}); err != nil {
+	// Undecodable body: a prediction frame (type 0x10, docs/PROTOCOL.md)
+	// carrying junk, sent on a hand-negotiated connection.
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.ReadMsg(conn, &resp); err != nil {
+	defer conn.Close()
+	hello := []byte{'C', 'N', 'N', 'B', 0, 0, 0, 0}
+	binary.BigEndian.PutUint16(hello[4:6], wire.CodecVersion)
+	frame := binary.BigEndian.AppendUint32(nil, 4)
+	frame = append(frame, 0x10)
+	frame = binary.BigEndian.AppendUint64(frame, 1)
+	frame = append(frame, "junk"...)
+	if _, err := conn.Write(append(hello, frame...)); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Err == "" {
-		t.Error("garbage payload accepted")
+	reply := make([]byte, 8+13) // ack + reply frame header
+	if _, err := io.ReadFull(conn, reply); err != nil {
+		t.Fatal(err)
+	}
+	if ftype := reply[8+4]; ftype != 0x22 {
+		t.Errorf("junk prediction body answered with frame type %#x, want an error frame (0x22)", ftype)
 	}
 }

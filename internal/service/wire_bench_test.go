@@ -1,14 +1,13 @@
 package service
 
-// BenchmarkServeWire pins the wire-codec throughput story at connection
+// BenchmarkServeWire pins the wire throughput story at connection
 // scale: the same in-process authority, model, and pre-encrypted batches
-// are served through the coalescing dispatcher over loopback TCP, once
-// per codec (legacy gob vs the binary hot-path codec) at each
+// are served through the coalescing dispatcher over loopback TCP at each
 // connection count. Every connection is a real ClientConn issuing
 // back-to-back prediction requests, exactly like cmd/cryptonn-loadgen,
-// so the measured difference is pure wire cost: gob re-sends type
-// descriptors and round-trips every group element through big.Int
-// reflection on each frame, the binary codec slices fixed-width slabs.
+// so the curve is wire and dispatch cost. The sub-benchmarks keep their
+// historical codec=binary names so committed BENCH_pr*.json baselines
+// still line up.
 //
 // The model is deliberately tiny (16 features, one 4-unit hidden
 // layer): with a realistic model the coalesced homomorphic evaluation
@@ -75,8 +74,8 @@ func BenchmarkServeWire(b *testing.B) {
 	}
 
 	for _, conns := range []int{16, 256, 1024} {
-		for _, codec := range []wire.Codec{wire.CodecGob, wire.CodecBinary} {
-			b.Run(fmt.Sprintf("codec=%s/conns=%d", codec, conns), func(b *testing.B) {
+		{
+			b.Run(fmt.Sprintf("codec=binary/conns=%d", conns), func(b *testing.B) {
 				ps, err := wire.NewCoalescingPredictionServer(srv.Predict, nil, wire.DispatcherOptions{
 					MaxCoalescedSamples: 256,
 					MaxDelay:            time.Millisecond,
@@ -89,7 +88,7 @@ func BenchmarkServeWire(b *testing.B) {
 				defer stop()
 				ccs := make([]*wire.ClientConn, conns)
 				for c := range ccs {
-					if ccs[c], err = wire.DialCodec(addr, codec); err != nil {
+					if ccs[c], err = wire.Dial(addr); err != nil {
 						b.Fatalf("conn %d: %v", c, err)
 					}
 					defer ccs[c].Close()
@@ -197,7 +196,7 @@ func BenchmarkServeWirePipeline(b *testing.B) {
 			defer stop()
 			ccs := make([]*wire.ClientConn, conns)
 			for c := range ccs {
-				if ccs[c], err = wire.DialCodec(addr, wire.CodecBinary); err != nil {
+				if ccs[c], err = wire.Dial(addr); err != nil {
 					b.Fatalf("conn %d: %v", c, err)
 				}
 				defer ccs[c].Close()

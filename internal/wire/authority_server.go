@@ -188,18 +188,55 @@ func (s *AuthorityServer) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	for {
-		var req Request
-		if err := ReadMsg(conn, &req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.log.Printf("authority: read from %s: %v", conn.RemoteAddr(), err)
+	err := serveRequests(conn, s.maxEta, func(req *Request, err error) *Response {
+		if err != nil {
+			if errors.Is(err, ErrLimitExceeded) {
+				s.rejected.Add(1)
 			}
-			return
+			return &Response{Err: fmt.Sprintf("decoding request: %v", err)}
 		}
-		resp := s.safeDispatch(&req)
-		if err := WriteMsg(conn, resp); err != nil {
-			s.log.Printf("authority: write to %s: %v", conn.RemoteAddr(), err)
-			return
+		return s.safeDispatch(req)
+	})
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+		s.log.Printf("authority: serving %s: %v", conn.RemoteAddr(), err)
+	}
+}
+
+// serveRequests runs the control-plane side of one accepted connection:
+// the codec handshake, then one bfResponse (or, for a refusal, bfErr) per
+// bfRequest, answered in order. answer gets each decoded request, or the
+// error that stopped it decoding (counts above limit fail before they
+// size an allocation); a frame of any other type is refused without
+// reaching it. It returns when the connection fails or closes.
+func serveRequests(conn net.Conn, limit int, answer func(*Request, error) *Response) error {
+	if err := acceptHello(conn); err != nil {
+		return err
+	}
+	bc := newBinConn(conn)
+	for {
+		ftype, id, body, err := bc.readFrame()
+		if err != nil {
+			return err
+		}
+		if ftype != bfRequest {
+			err = bc.writeErr(id, fmt.Sprintf("wire: cannot serve frame type %#x", ftype), false)
+		} else {
+			req, derr := decodeRequest(body, limit)
+			resp := answer(req, derr)
+			if resp.Err == "" {
+				err = bc.writeFrame(bfResponse, id, func(b []byte) ([]byte, error) {
+					return appendResponse(b, req.Kind, resp)
+				})
+				if errors.Is(err, ErrBinaryEncoding) || errors.Is(err, ErrFrameTooLarge) { // nothing written
+					resp.Err = fmt.Sprintf("wire: encoding %s response: %v", req.Kind, err)
+				}
+			}
+			if resp.Err != "" {
+				err = bc.writeErr(id, resp.Err, false)
+			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 }

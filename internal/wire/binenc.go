@@ -1,10 +1,12 @@
 package wire
 
-// Binary body layouts for the hot-path frames (codec.go). Group elements
+// Binary body layouts for the hot-path frames (codec.go), and the
+// reader/writer primitives every body — control-plane envelopes
+// included (envelope.go) — is built from. Group elements
 // are flat uint64 limb slabs internally; on the wire they become
 // fixed-width big-endian byte strings with the width declared once per
 // section, so a ciphertext matrix is one contiguous slab decoded by pure
-// slicing — no gob descriptors, no per-element length prefixes, and no
+// slicing — no type descriptors, no per-element length prefixes, and no
 // reflection. All integers are big-endian; counts are u32, element
 // widths u16.
 //
@@ -66,7 +68,7 @@ var ErrBinaryEncoding = errors.New("wire: malformed binary frame body")
 // wire: the decoder rejects hostile 4-byte headers before they trigger a
 // huge allocation, and the encoder rejects the same values up front so a
 // legitimate oversize payload fails fast locally instead of being
-// refused by every binary peer (the two codecs accept identical domains).
+// refused by every peer.
 const maxBinCount = 1 << 24
 
 func appendU32(b []byte, v int) ([]byte, error) {
@@ -102,268 +104,329 @@ func appendBig(b []byte, v *big.Int, width int) []byte {
 	return b
 }
 
-// binCursor walks a binary body; every read checks the remaining length.
-type binCursor struct {
+// binWriter appends a body, keeping the first error.
+type binWriter struct {
 	b   []byte
-	off int
+	err error
 }
 
-func (c *binCursor) take(n int) ([]byte, error) {
-	if n < 0 || len(c.b)-c.off < n {
-		return nil, fmt.Errorf("%w: truncated at offset %d (need %d of %d)", ErrBinaryEncoding, c.off, n, len(c.b))
+func (w *binWriter) fail(format string, args ...any) {
+	if w.err == nil {
+		w.err = fmt.Errorf("%w: "+format, append([]any{ErrBinaryEncoding}, args...)...)
+	}
+}
+
+func (w *binWriter) u8(v int) {
+	if v < 0 || v > 0xff {
+		w.fail("value %d out of u8 range", v)
+		return
+	}
+	w.b = append(w.b, byte(v))
+}
+
+func (w *binWriter) u16(v int) { w.b = binary.BigEndian.AppendUint16(w.b, uint16(v)) }
+
+func (w *binWriter) u32(v int) {
+	if w.err == nil {
+		w.b, w.err = appendU32(w.b, v)
+	}
+}
+
+func (w *binWriter) i64(v int64) { w.b = binary.BigEndian.AppendUint64(w.b, uint64(v)) }
+
+// width widens widest to cover vals (elemWidth), keeping the first error.
+func (w *binWriter) width(widest int, vals ...*big.Int) int {
+	if w.err != nil {
+		return widest
+	}
+	widest, w.err = elemWidth(widest, vals...)
+	return widest
+}
+
+// elems appends each value as exactly width bytes; after an error it
+// writes nothing, since a failed width check may have left nils.
+func (w *binWriter) elems(width int, vals ...*big.Int) {
+	if w.err != nil {
+		return
+	}
+	for _, v := range vals {
+		w.b = appendBig(w.b, v, width)
+	}
+}
+
+// result returns the body, or nil and the first error.
+func (w *binWriter) result() ([]byte, error) {
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.b, nil
+}
+
+// binCursor walks a body, keeping the first error: every read checks the
+// remaining length, and reads after an error return zero values.
+type binCursor struct {
+	b     []byte
+	off   int
+	limit int // cap on envelope counts (envelope.go); 0 means maxBinCount
+	err   error
+}
+
+func (c *binCursor) failf(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: "+format, append([]any{ErrBinaryEncoding}, args...)...)
+	}
+}
+
+// rest is the number of unread bytes.
+func (c *binCursor) rest() int { return len(c.b) - c.off }
+
+func (c *binCursor) take(n int) []byte {
+	if c.err == nil && (n < 0 || c.rest() < n) {
+		c.failf("truncated at offset %d (need %d of %d)", c.off, n, len(c.b))
+	}
+	if c.err != nil {
+		return nil
 	}
 	s := c.b[c.off : c.off+n]
 	c.off += n
-	return s, nil
+	return s
 }
 
-func (c *binCursor) u8() (byte, error) {
-	s, err := c.take(1)
-	if err != nil {
-		return 0, err
+func (c *binCursor) u8() int {
+	if s := c.take(1); s != nil {
+		return int(s[0])
 	}
-	return s[0], nil
+	return 0
 }
 
-func (c *binCursor) u16() (int, error) {
-	s, err := c.take(2)
-	if err != nil {
-		return 0, err
+func (c *binCursor) u16() int {
+	if s := c.take(2); s != nil {
+		return int(binary.BigEndian.Uint16(s))
 	}
-	return int(binary.BigEndian.Uint16(s)), nil
+	return 0
 }
 
-func (c *binCursor) u32() (int, error) {
-	s, err := c.take(4)
-	if err != nil {
-		return 0, err
+func (c *binCursor) u32() int {
+	s := c.take(4)
+	if s == nil {
+		return 0
 	}
 	v := binary.BigEndian.Uint32(s)
 	if v > maxBinCount {
-		return 0, fmt.Errorf("%w: count %d exceeds limit", ErrBinaryEncoding, v)
+		c.failf("count %d exceeds limit", v)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (c *binCursor) big(width int) (*big.Int, error) {
-	s, err := c.take(width)
-	if err != nil {
-		return nil, err
+func (c *binCursor) i64() int64 {
+	if s := c.take(8); s != nil {
+		return int64(binary.BigEndian.Uint64(s))
 	}
-	return new(big.Int).SetBytes(s), nil
+	return 0
 }
 
-func (c *binCursor) done() error {
-	if c.off != len(c.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBinaryEncoding, len(c.b)-c.off)
+// count reads an element count and refuses, before anything is sized by
+// it, one above the cursor's limit (ErrLimitExceeded) or one whose
+// elements (at least size bytes each) cannot fit the rest of the body.
+func (c *binCursor) count(size int) int {
+	n, limit := c.u32(), maxBinCount
+	if c.limit > 0 {
+		limit = c.limit
 	}
-	return nil
+	switch {
+	case c.err != nil:
+	case n > limit:
+		c.err = fmt.Errorf("%w: count %d > max %d", ErrLimitExceeded, n, limit)
+	case n*size > c.rest():
+		c.failf("%d elements overrun the body", n)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return n
+}
+
+// big reads one width-byte element and widens *widest to its minimal
+// byte length, for minimalWidth.
+func (c *binCursor) big(width int, widest *int) *big.Int {
+	s := c.take(width)
+	if s == nil {
+		return nil
+	}
+	v := new(big.Int).SetBytes(s)
+	*widest = max(*widest, (v.BitLen()+7)/8)
+	return v
+}
+
+// minimalWidth enforces the encoders' width choice (the widest element,
+// at least 1), so every section has exactly one encoding.
+func (c *binCursor) minimalWidth(width, widest int) {
+	if c.err == nil && max(widest, 1) != width {
+		c.failf("element width %d, minimal is %d", width, max(widest, 1))
+	}
+}
+
+// finish fails on trailing bytes and returns the first error.
+func (c *binCursor) finish() error {
+	if c.err == nil && c.off != len(c.b) {
+		c.failf("%d trailing bytes", len(c.b)-c.off)
+	}
+	return c.err
 }
 
 // --- ciphertext vector sections -------------------------------------------
 
-// appendCtVec writes a ctvec section for FEIP ciphertexts sharing one
-// dimension.
-func appendCtVec(b []byte, cts []*feip.Ciphertext, eta int) ([]byte, error) {
+// ctvec writes a ctvec section for FEIP ciphertexts sharing one dimension.
+func (w *binWriter) ctvec(cts []*feip.Ciphertext, eta int) {
 	width := 0
 	for _, ct := range cts {
 		if ct == nil || len(ct.Ct) != eta {
-			return nil, fmt.Errorf("%w: ciphertext dimension mismatch", ErrBinaryEncoding)
+			w.fail("ciphertext dimension mismatch")
+			return
 		}
-		var err error
-		if width, err = elemWidth(width, ct.Ct0); err != nil {
-			return nil, err
-		}
-		if width, err = elemWidth(width, ct.Ct...); err != nil {
-			return nil, err
-		}
+		width = w.width(width, ct.Ct0)
+		width = w.width(width, ct.Ct...)
 	}
 	width = max(width, 1)
-	var err error
-	if b, err = appendU32(b, len(cts)); err != nil {
-		return nil, err
-	}
-	if b, err = appendU32(b, eta); err != nil {
-		return nil, err
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(width))
+	w.u32(len(cts))
+	w.u32(eta)
+	w.u16(width)
 	for _, ct := range cts {
-		b = appendBig(b, ct.Ct0, width)
-		for _, v := range ct.Ct {
-			b = appendBig(b, v, width)
-		}
+		w.elems(width, ct.Ct0)
+		w.elems(width, ct.Ct...)
 	}
-	return b, nil
 }
 
-// readCtVec reads a ctvec section, requiring the declared shape when
+// ctvec reads a ctvec section, requiring the declared shape when
 // wantCount/wantEta are non-negative.
-func readCtVec(c *binCursor, wantCount, wantEta int) ([]*feip.Ciphertext, error) {
-	count, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	eta, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	width, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	if wantCount >= 0 && count != wantCount {
-		return nil, fmt.Errorf("%w: %d ciphertexts, want %d", ErrBinaryEncoding, count, wantCount)
-	}
-	if wantEta >= 0 && eta != wantEta {
-		return nil, fmt.Errorf("%w: ciphertext dimension %d, want %d", ErrBinaryEncoding, eta, wantEta)
-	}
-	if width < 1 {
-		return nil, fmt.Errorf("%w: zero element width", ErrBinaryEncoding)
-	}
+func (c *binCursor) ctvec(wantCount, wantEta int) []*feip.Ciphertext {
+	count, eta, width := c.u32(), c.u32(), c.u16()
 	// The whole section must fit the remaining body before any per-count
 	// allocation happens.
-	if _, err := c.take(0); err != nil {
-		return nil, err
-	}
 	need := count * (eta + 1) * width
-	if eta >= maxBinCount || count > 0 && need/count != (eta+1)*width || need > len(c.b)-c.off {
-		return nil, fmt.Errorf("%w: section larger than body", ErrBinaryEncoding)
+	switch {
+	case c.err != nil:
+	case wantCount >= 0 && count != wantCount:
+		c.failf("%d ciphertexts, want %d", count, wantCount)
+	case wantEta >= 0 && eta != wantEta:
+		c.failf("ciphertext dimension %d, want %d", eta, wantEta)
+	case width < 1:
+		c.failf("zero element width")
+	case eta >= maxBinCount || count > 0 && need/count != (eta+1)*width || need > c.rest():
+		c.failf("section larger than body")
+	}
+	if c.err != nil {
+		return nil
 	}
 	cts := make([]*feip.Ciphertext, count)
+	widest := 0
 	for i := range cts {
-		ct := &feip.Ciphertext{Ct: make([]*big.Int, eta)}
-		if ct.Ct0, err = c.big(width); err != nil {
-			return nil, err
-		}
+		ct := &feip.Ciphertext{Ct0: c.big(width, &widest), Ct: make([]*big.Int, eta)}
 		for j := range ct.Ct {
-			if ct.Ct[j], err = c.big(width); err != nil {
-				return nil, err
-			}
+			ct.Ct[j] = c.big(width, &widest)
 		}
 		cts[i] = ct
 	}
-	return cts, nil
+	c.minimalWidth(width, widest)
+	return cts
 }
 
-// appendSparseCtVec writes a spctvec section for coordinate-form FEIP
+// sparseCtvec writes a spctvec section for coordinate-form FEIP
 // ciphertexts sharing one dimension.
-func appendSparseCtVec(b []byte, cts []*feip.SparseCiphertext, eta int) ([]byte, error) {
+func (w *binWriter) sparseCtvec(cts []*feip.SparseCiphertext, eta int) {
 	width := 0
 	for _, ct := range cts {
 		if ct == nil || ct.Eta != eta || len(ct.Idx) != len(ct.Ct) || len(ct.Idx) > eta {
-			return nil, fmt.Errorf("%w: sparse ciphertext geometry mismatch", ErrBinaryEncoding)
+			w.fail("sparse ciphertext geometry mismatch")
+			return
 		}
-		var err error
-		if width, err = elemWidth(width, ct.Ct0); err != nil {
-			return nil, err
-		}
-		if width, err = elemWidth(width, ct.Ct...); err != nil {
-			return nil, err
-		}
+		width = w.width(width, ct.Ct0)
+		width = w.width(width, ct.Ct...)
 	}
 	width = max(width, 1)
-	var err error
-	if b, err = appendU32(b, len(cts)); err != nil {
-		return nil, err
-	}
-	if b, err = appendU32(b, eta); err != nil {
-		return nil, err
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(width))
+	w.u32(len(cts))
+	w.u32(eta)
+	w.u16(width)
 	for _, ct := range cts {
-		if b, err = appendU32(b, len(ct.Idx)); err != nil {
-			return nil, err
-		}
-		b = appendBig(b, ct.Ct0, width)
+		w.u32(len(ct.Idx))
+		w.elems(width, ct.Ct0)
 		prev := -1
 		for t, idx := range ct.Idx {
 			if idx <= prev || idx >= eta {
-				return nil, fmt.Errorf("%w: support index %d out of order or range", ErrBinaryEncoding, idx)
+				w.fail("support index %d out of order or range", idx)
+				return
 			}
 			prev = idx
-			if b, err = appendU32(b, idx); err != nil {
-				return nil, err
-			}
-			b = appendBig(b, ct.Ct[t], width)
+			w.u32(idx)
+			w.elems(width, ct.Ct[t])
 		}
 	}
-	return b, nil
 }
 
-// readSparseCtVec reads a spctvec section, requiring the declared shape
-// when wantCount/wantEta are non-negative. Supports are validated to the
+// sparseCtvec reads a spctvec section, requiring the declared shape when
+// wantCount/wantEta are non-negative. Supports are validated to the
 // canonical form feip.SparseCiphertext.Validate demands: strictly
 // increasing, in-range indices with nnz ≤ eta — a hostile frame fails here
 // with ErrBinaryEncoding instead of reaching the crypto layer.
-func readSparseCtVec(c *binCursor, wantCount, wantEta int) ([]*feip.SparseCiphertext, error) {
-	count, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	eta, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	width, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	if wantCount >= 0 && count != wantCount {
-		return nil, fmt.Errorf("%w: %d sparse ciphertexts, want %d", ErrBinaryEncoding, count, wantCount)
-	}
-	if wantEta >= 0 && eta != wantEta {
-		return nil, fmt.Errorf("%w: sparse ciphertext dimension %d, want %d", ErrBinaryEncoding, eta, wantEta)
-	}
-	if width < 1 {
-		return nil, fmt.Errorf("%w: zero element width", ErrBinaryEncoding)
-	}
-	if eta < 1 || eta >= maxBinCount {
-		return nil, fmt.Errorf("%w: sparse dimension %d out of range", ErrBinaryEncoding, eta)
-	}
+func (c *binCursor) sparseCtvec(wantCount, wantEta int) []*feip.SparseCiphertext {
+	count, eta, width := c.u32(), c.u32(), c.u16()
 	// Every entry costs at least its nnz word plus ct0, so a hostile count
 	// far beyond the body fails before the per-entry loop allocates.
-	if minNeed := count * (4 + width); count > 0 && (minNeed/count != 4+width || minNeed > len(c.b)-c.off) {
-		return nil, fmt.Errorf("%w: section larger than body", ErrBinaryEncoding)
+	minNeed := count * (4 + width)
+	switch {
+	case c.err != nil:
+	case wantCount >= 0 && count != wantCount:
+		c.failf("%d sparse ciphertexts, want %d", count, wantCount)
+	case wantEta >= 0 && eta != wantEta:
+		c.failf("sparse ciphertext dimension %d, want %d", eta, wantEta)
+	case width < 1:
+		c.failf("zero element width")
+	case eta < 1 || eta >= maxBinCount:
+		c.failf("sparse dimension %d out of range", eta)
+	case count > 0 && (minNeed/count != 4+width || minNeed > c.rest()):
+		c.failf("section larger than body")
+	}
+	if c.err != nil {
+		return nil
 	}
 	cts := make([]*feip.SparseCiphertext, count)
+	widest := 0
 	for i := range cts {
-		nnz, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		if nnz > eta {
-			return nil, fmt.Errorf("%w: nnz %d exceeds dimension %d", ErrBinaryEncoding, nnz, eta)
-		}
+		nnz := c.u32()
 		// The pair list must fit the remaining body before allocation; the
 		// division re-check keeps a hostile nnz·(4+width) product exact
-		// (mulBounded discipline: nnz ≤ eta < 2^24 and width < 2^16, so the
-		// product cannot wrap, but the check is cheap and local).
+		// (nnz ≤ eta < 2^24 and width < 2^16, so the product cannot wrap,
+		// but the check is cheap and local).
 		need := nnz * (4 + width)
-		if nnz > 0 && (need/nnz != 4+width || need > len(c.b)-c.off-width) {
-			return nil, fmt.Errorf("%w: sparse pair list larger than body", ErrBinaryEncoding)
+		switch {
+		case c.err != nil:
+		case nnz > eta:
+			c.failf("nnz %d exceeds dimension %d", nnz, eta)
+		case nnz > 0 && (need/nnz != 4+width || need > c.rest()-width):
+			c.failf("sparse pair list larger than body")
 		}
-		ct := &feip.SparseCiphertext{Eta: eta, Idx: make([]int, nnz), Ct: make([]*big.Int, nnz)}
-		if ct.Ct0, err = c.big(width); err != nil {
-			return nil, err
+		if c.err != nil {
+			return nil
 		}
+		ct := &feip.SparseCiphertext{Eta: eta, Ct0: c.big(width, &widest), Idx: make([]int, nnz), Ct: make([]*big.Int, nnz)}
 		prev := -1
-		for t := 0; t < nnz; t++ {
-			idx, err := c.u32()
-			if err != nil {
-				return nil, err
+		for t := range nnz {
+			idx := c.u32()
+			if c.err == nil && (idx <= prev || idx >= eta) {
+				c.failf("support index %d out of order or range at pair %d", idx, t)
 			}
-			if idx <= prev || idx >= eta {
-				return nil, fmt.Errorf("%w: support index %d out of order or range at pair %d", ErrBinaryEncoding, idx, t)
+			if c.err != nil {
+				return nil
 			}
 			prev = idx
 			ct.Idx[t] = idx
-			if ct.Ct[t], err = c.big(width); err != nil {
-				return nil, err
-			}
+			ct.Ct[t] = c.big(width, &widest)
 		}
 		cts[i] = ct
 	}
-	return cts, nil
+	c.minimalWidth(width, widest)
+	return cts
 }
 
 // --- EncryptedMatrix -------------------------------------------------------
@@ -373,113 +436,92 @@ const (
 	matFlagElems = 2
 )
 
-func appendMatrix(b []byte, m *securemat.EncryptedMatrix) ([]byte, error) {
+func (w *binWriter) matrix(m *securemat.EncryptedMatrix) {
 	if m == nil || m.ColCts == nil {
-		return nil, fmt.Errorf("%w: matrix without column ciphertexts", ErrBinaryEncoding)
+		w.fail("matrix without column ciphertexts")
+		return
 	}
-	var err error
-	if b, err = appendU32(b, m.Rows); err != nil {
-		return nil, err
-	}
-	if b, err = appendU32(b, m.Cols); err != nil {
-		return nil, err
-	}
-	var flags byte
+	w.u32(m.Rows)
+	w.u32(m.Cols)
+	var flags int
 	if m.RowCts != nil {
 		flags |= matFlagRows
 	}
 	if m.Elems != nil {
 		flags |= matFlagElems
 	}
-	b = append(b, flags)
-	if b, err = appendCtVec(b, m.ColCts, m.Rows); err != nil {
-		return nil, fmt.Errorf("column ciphertexts: %w", err)
-	}
+	w.u8(flags)
+	w.ctvec(m.ColCts, m.Rows)
 	if m.RowCts != nil {
-		if b, err = appendCtVec(b, m.RowCts, m.Cols); err != nil {
-			return nil, fmt.Errorf("row ciphertexts: %w", err)
+		w.ctvec(m.RowCts, m.Cols)
+	}
+	if m.Elems == nil {
+		return
+	}
+	if len(m.Elems) != m.Rows {
+		w.fail("%d element rows for %d matrix rows", len(m.Elems), m.Rows)
+		return
+	}
+	width := 0
+	for _, row := range m.Elems {
+		if len(row) != m.Cols {
+			w.fail("ragged element matrix")
+			return
+		}
+		for _, e := range row {
+			if e == nil {
+				w.fail("nil element ciphertext")
+				return
+			}
+			width = w.width(width, e.Cmt, e.Ct)
 		}
 	}
-	if m.Elems != nil {
-		if len(m.Elems) != m.Rows {
-			return nil, fmt.Errorf("%w: %d element rows for %d matrix rows", ErrBinaryEncoding, len(m.Elems), m.Rows)
-		}
-		width := 0
-		for _, row := range m.Elems {
-			if len(row) != m.Cols {
-				return nil, fmt.Errorf("%w: ragged element matrix", ErrBinaryEncoding)
-			}
-			for _, e := range row {
-				if e == nil {
-					return nil, fmt.Errorf("%w: nil element ciphertext", ErrBinaryEncoding)
-				}
-				if width, err = elemWidth(width, e.Cmt, e.Ct); err != nil {
-					return nil, err
-				}
-			}
-		}
-		width = max(width, 1)
-		b = binary.BigEndian.AppendUint16(b, uint16(width))
-		for _, row := range m.Elems {
-			for _, e := range row {
-				b = appendBig(b, e.Cmt, width)
-				b = appendBig(b, e.Ct, width)
-			}
+	width = max(width, 1)
+	w.u16(width)
+	for _, row := range m.Elems {
+		for _, e := range row {
+			w.elems(width, e.Cmt, e.Ct)
 		}
 	}
-	return b, nil
 }
 
-func readMatrix(c *binCursor) (*securemat.EncryptedMatrix, error) {
-	rows, err := c.u32()
-	if err != nil {
-		return nil, err
+func (c *binCursor) matrix() *securemat.EncryptedMatrix {
+	rows, cols, flags := c.u32(), c.u32(), c.u8()
+	if c.err == nil && flags&^(matFlagRows|matFlagElems) != 0 {
+		c.failf("unknown matrix flags %#x", flags)
 	}
-	cols, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	flags, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	m := &securemat.EncryptedMatrix{Rows: rows, Cols: cols}
-	if m.ColCts, err = readCtVec(c, cols, rows); err != nil {
-		return nil, fmt.Errorf("column ciphertexts: %w", err)
-	}
+	m := &securemat.EncryptedMatrix{Rows: rows, Cols: cols, ColCts: c.ctvec(cols, rows)}
 	if flags&matFlagRows != 0 {
-		if m.RowCts, err = readCtVec(c, rows, cols); err != nil {
-			return nil, fmt.Errorf("row ciphertexts: %w", err)
-		}
+		m.RowCts = c.ctvec(rows, cols)
 	}
 	if flags&matFlagElems != 0 {
-		width, err := c.u16()
-		if err != nil {
-			return nil, err
-		}
-		if width < 1 {
-			return nil, fmt.Errorf("%w: zero element width", ErrBinaryEncoding)
-		}
+		width := c.u16()
+		// rows > body bounds the row headers of a zero-column matrix.
 		need := rows * cols * 2 * width
-		if rows > 0 && cols > 0 && (need/(rows*cols) != 2*width || need > len(c.b)-c.off) {
-			return nil, fmt.Errorf("%w: element section larger than body", ErrBinaryEncoding)
+		switch {
+		case c.err != nil:
+		case width < 1:
+			c.failf("zero element width")
+		case rows > c.rest() || rows > 0 && cols > 0 && (need/(rows*cols) != 2*width || need > c.rest()):
+			c.failf("element section larger than body")
+		}
+		if c.err != nil {
+			return nil
 		}
 		m.Elems = make([][]*febo.Ciphertext, rows)
+		widest := 0
 		for i := range m.Elems {
 			m.Elems[i] = make([]*febo.Ciphertext, cols)
 			for j := range m.Elems[i] {
-				e := &febo.Ciphertext{}
-				if e.Cmt, err = c.big(width); err != nil {
-					return nil, err
-				}
-				if e.Ct, err = c.big(width); err != nil {
-					return nil, err
-				}
-				m.Elems[i][j] = e
+				m.Elems[i][j] = &febo.Ciphertext{Cmt: c.big(width, &widest), Ct: c.big(width, &widest)}
 			}
 		}
+		c.minimalWidth(width, widest)
 	}
-	return m, nil
+	if c.err != nil {
+		return nil
+	}
+	return m
 }
 
 // --- EncryptedBatch --------------------------------------------------------
@@ -491,69 +533,46 @@ const (
 
 // appendEncryptedBatch writes the bfPredict/bfSubmit body.
 func appendEncryptedBatch(b []byte, enc *core.EncryptedBatch) ([]byte, error) {
+	w := &binWriter{b: b}
 	if enc == nil {
-		return nil, fmt.Errorf("%w: nil batch", ErrBinaryEncoding)
+		w.fail("nil batch")
+		return w.result()
 	}
-	var err error
-	if b, err = appendU32(b, enc.Features); err != nil {
-		return nil, err
-	}
-	if b, err = appendU32(b, enc.Classes); err != nil {
-		return nil, err
-	}
-	if b, err = appendU32(b, enc.N); err != nil {
-		return nil, err
-	}
-	var flags byte
+	w.u32(enc.Features)
+	w.u32(enc.Classes)
+	w.u32(enc.N)
+	var flags int
 	if enc.X != nil {
 		flags |= batchFlagX
 	}
 	if enc.Y != nil {
 		flags |= batchFlagY
 	}
-	b = append(b, flags)
+	w.u8(flags)
 	if enc.X != nil {
-		if b, err = appendMatrix(b, enc.X); err != nil {
-			return nil, fmt.Errorf("wire: encoding X: %w", err)
-		}
+		w.matrix(enc.X)
 	}
 	if enc.Y != nil {
-		if b, err = appendMatrix(b, enc.Y); err != nil {
-			return nil, fmt.Errorf("wire: encoding Y: %w", err)
-		}
+		w.matrix(enc.Y)
 	}
-	return b, nil
+	return w.result()
 }
 
 // decodeEncryptedBatch reads a bfPredict/bfSubmit body.
 func decodeEncryptedBatch(body []byte) (*core.EncryptedBatch, error) {
 	c := &binCursor{b: body}
-	enc := &core.EncryptedBatch{}
-	var err error
-	if enc.Features, err = c.u32(); err != nil {
-		return nil, err
-	}
-	if enc.Classes, err = c.u32(); err != nil {
-		return nil, err
-	}
-	if enc.N, err = c.u32(); err != nil {
-		return nil, err
-	}
-	flags, err := c.u8()
-	if err != nil {
-		return nil, err
+	enc := &core.EncryptedBatch{Features: c.u32(), Classes: c.u32(), N: c.u32()}
+	flags := c.u8()
+	if c.err == nil && flags&^(batchFlagX|batchFlagY) != 0 {
+		c.failf("unknown batch flags %#x", flags)
 	}
 	if flags&batchFlagX != 0 {
-		if enc.X, err = readMatrix(c); err != nil {
-			return nil, fmt.Errorf("wire: decoding X: %w", err)
-		}
+		enc.X = c.matrix()
 	}
 	if flags&batchFlagY != 0 {
-		if enc.Y, err = readMatrix(c); err != nil {
-			return nil, fmt.Errorf("wire: decoding Y: %w", err)
-		}
+		enc.Y = c.matrix()
 	}
-	if err := c.done(); err != nil {
+	if err := c.finish(); err != nil {
 		return nil, err
 	}
 	return enc, nil
@@ -563,50 +582,46 @@ func decodeEncryptedBatch(body []byte) (*core.EncryptedBatch, error) {
 
 // appendConvBatch writes the bfSubmitConv body.
 func appendConvBatch(b []byte, enc *core.EncryptedConvBatch) ([]byte, error) {
+	w := &binWriter{b: b}
 	if enc == nil {
-		return nil, fmt.Errorf("%w: nil conv batch", ErrBinaryEncoding)
+		w.fail("nil conv batch")
+		return w.result()
 	}
-	var err error
 	for _, v := range []int{enc.C, enc.H, enc.W, enc.K, enc.Stride, enc.Pad, enc.OutH, enc.OutW, enc.Classes, enc.N} {
-		if b, err = appendU32(b, v); err != nil {
-			return nil, err
-		}
+		w.u32(v)
 	}
-	var flags byte
+	var flags int
 	if enc.Y != nil {
 		flags |= batchFlagY
 	}
-	b = append(b, flags)
+	w.u8(flags)
 	windowLen, numWindows := enc.WindowLen(), enc.NumWindows()
 	if len(enc.Windows) != enc.N || len(enc.Positions) != enc.N {
-		return nil, fmt.Errorf("%w: %d/%d per-sample slices for %d samples", ErrBinaryEncoding, len(enc.Windows), len(enc.Positions), enc.N)
+		w.fail("%d/%d per-sample slices for %d samples", len(enc.Windows), len(enc.Positions), enc.N)
+		return w.result()
 	}
 	flat := make([]*feip.Ciphertext, 0, enc.N*numWindows)
 	for _, ws := range enc.Windows {
 		if len(ws) != numWindows {
-			return nil, fmt.Errorf("%w: %d windows, want %d", ErrBinaryEncoding, len(ws), numWindows)
+			w.fail("%d windows, want %d", len(ws), numWindows)
+			return w.result()
 		}
 		flat = append(flat, ws...)
 	}
-	if b, err = appendCtVec(b, flat, windowLen); err != nil {
-		return nil, fmt.Errorf("wire: encoding windows: %w", err)
-	}
+	w.ctvec(flat, windowLen)
 	flat = flat[:0]
 	for _, ps := range enc.Positions {
 		if len(ps) != windowLen {
-			return nil, fmt.Errorf("%w: %d position rows, want %d", ErrBinaryEncoding, len(ps), windowLen)
+			w.fail("%d position rows, want %d", len(ps), windowLen)
+			return w.result()
 		}
 		flat = append(flat, ps...)
 	}
-	if b, err = appendCtVec(b, flat, numWindows); err != nil {
-		return nil, fmt.Errorf("wire: encoding positions: %w", err)
-	}
+	w.ctvec(flat, numWindows)
 	if enc.Y != nil {
-		if b, err = appendMatrix(b, enc.Y); err != nil {
-			return nil, fmt.Errorf("wire: encoding Y: %w", err)
-		}
+		w.matrix(enc.Y)
 	}
-	return b, nil
+	return w.result()
 }
 
 // mulBounded multiplies two decoded dimensions with overflow-safe
@@ -614,75 +629,58 @@ func appendConvBatch(b []byte, enc *core.EncryptedConvBatch) ([]byte, error) {
 // Because each checked value is at most 2^24 the uint64 product is at
 // most 2^48 and can never wrap, so chained calls stay exact no matter
 // what geometry a hostile frame declares.
-func mulBounded(a, b int) (int, error) {
-	if a < 1 || a > maxBinCount || b < 1 || b > maxBinCount {
-		return 0, fmt.Errorf("%w: conv geometry out of range", ErrBinaryEncoding)
+func (c *binCursor) mulBounded(a, b int) int {
+	switch {
+	case c.err != nil:
+		return 0
+	case a < 1 || a > maxBinCount || b < 1 || b > maxBinCount:
+		c.failf("conv geometry out of range")
+		return 0
+	case uint64(a)*uint64(b) > maxBinCount:
+		c.failf("conv geometry product %d exceeds limit", uint64(a)*uint64(b))
+		return 0
 	}
-	p := uint64(a) * uint64(b)
-	if p > maxBinCount {
-		return 0, fmt.Errorf("%w: conv geometry product %d exceeds limit", ErrBinaryEncoding, p)
-	}
-	return int(p), nil
+	return a * b
 }
 
 // decodeConvBatch reads a bfSubmitConv body. The geometry words are
 // attacker-controlled, so windowLen (C·K·K) and numWindows (OutH·OutW)
 // are derived via mulBounded rather than the in-memory helpers — a
 // product that overflows int64 to a negative value would otherwise
-// disable readCtVec's shape checks and panic in the re-slicing below.
+// disable ctvec's shape checks and panic in the re-slicing below.
 func decodeConvBatch(body []byte) (*core.EncryptedConvBatch, error) {
 	c := &binCursor{b: body}
 	enc := &core.EncryptedConvBatch{}
-	var err error
 	for _, dst := range []*int{&enc.C, &enc.H, &enc.W, &enc.K, &enc.Stride, &enc.Pad, &enc.OutH, &enc.OutW, &enc.Classes, &enc.N} {
-		if *dst, err = c.u32(); err != nil {
-			return nil, err
+		*dst = c.u32()
+	}
+	flags := c.u8()
+	if c.err == nil && flags&^batchFlagY != 0 {
+		c.failf("unknown conv batch flags %#x", flags)
+	}
+	windowLen := c.mulBounded(c.mulBounded(enc.C, enc.K), enc.K)
+	numWindows := c.mulBounded(enc.OutH, enc.OutW)
+	totalWindows := c.mulBounded(enc.N, numWindows)
+	totalPositions := c.mulBounded(enc.N, windowLen)
+	if c.err != nil {
+		return nil, c.err
+	}
+	if flat := c.ctvec(totalWindows, windowLen); flat != nil {
+		enc.Windows = make([][]*feip.Ciphertext, enc.N)
+		for s := range enc.Windows {
+			enc.Windows[s] = flat[s*numWindows : (s+1)*numWindows]
 		}
 	}
-	flags, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	windowLen, err := mulBounded(enc.C, enc.K)
-	if err == nil {
-		windowLen, err = mulBounded(windowLen, enc.K)
-	}
-	if err != nil {
-		return nil, err
-	}
-	numWindows, err := mulBounded(enc.OutH, enc.OutW)
-	if err != nil {
-		return nil, err
-	}
-	totalWindows, err := mulBounded(enc.N, numWindows)
-	if err != nil {
-		return nil, err
-	}
-	totalPositions, err := mulBounded(enc.N, windowLen)
-	if err != nil {
-		return nil, err
-	}
-	flat, err := readCtVec(c, totalWindows, windowLen)
-	if err != nil {
-		return nil, fmt.Errorf("wire: decoding windows: %w", err)
-	}
-	enc.Windows = make([][]*feip.Ciphertext, enc.N)
-	for s := range enc.Windows {
-		enc.Windows[s] = flat[s*numWindows : (s+1)*numWindows]
-	}
-	if flat, err = readCtVec(c, totalPositions, numWindows); err != nil {
-		return nil, fmt.Errorf("wire: decoding positions: %w", err)
-	}
-	enc.Positions = make([][]*feip.Ciphertext, enc.N)
-	for s := range enc.Positions {
-		enc.Positions[s] = flat[s*windowLen : (s+1)*windowLen]
+	if flat := c.ctvec(totalPositions, numWindows); flat != nil {
+		enc.Positions = make([][]*feip.Ciphertext, enc.N)
+		for s := range enc.Positions {
+			enc.Positions[s] = flat[s*windowLen : (s+1)*windowLen]
+		}
 	}
 	if flags&batchFlagY != 0 {
-		if enc.Y, err = readMatrix(c); err != nil {
-			return nil, fmt.Errorf("wire: decoding Y: %w", err)
-		}
+		enc.Y = c.matrix()
 	}
-	if err := c.done(); err != nil {
+	if err := c.finish(); err != nil {
 		return nil, err
 	}
 	return enc, nil
@@ -693,60 +691,34 @@ func decodeConvBatch(body []byte) (*core.EncryptedConvBatch, error) {
 // appendSparseBatch writes the bfPredictTopK body: the requested k and the
 // coordinate-form batch.
 func appendSparseBatch(b []byte, k int, sp *core.SparseBatch) ([]byte, error) {
-	if sp == nil || sp.X == nil {
-		return nil, fmt.Errorf("%w: nil sparse batch", ErrBinaryEncoding)
+	w := &binWriter{b: b}
+	switch {
+	case sp == nil || sp.X == nil:
+		w.fail("nil sparse batch")
+	case k < 1:
+		w.fail("top-k count %d out of range", k)
+	case sp.X.Rows != sp.Features || sp.X.Cols != sp.N:
+		w.fail("sparse matrix is %dx%d, batch claims %dx%d", sp.X.Rows, sp.X.Cols, sp.Features, sp.N)
+	default:
+		w.u32(k)
+		w.u32(sp.Features)
+		w.u32(sp.Classes)
+		w.u32(sp.N)
+		w.sparseCtvec(sp.X.ColCts, sp.Features)
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("%w: top-k count %d out of range", ErrBinaryEncoding, k)
-	}
-	if sp.X.Rows != sp.Features || sp.X.Cols != sp.N {
-		return nil, fmt.Errorf("%w: sparse matrix is %dx%d, batch claims %dx%d", ErrBinaryEncoding, sp.X.Rows, sp.X.Cols, sp.Features, sp.N)
-	}
-	var err error
-	if b, err = appendU32(b, k); err != nil {
-		return nil, err
-	}
-	if b, err = appendU32(b, sp.Features); err != nil {
-		return nil, err
-	}
-	if b, err = appendU32(b, sp.Classes); err != nil {
-		return nil, err
-	}
-	if b, err = appendU32(b, sp.N); err != nil {
-		return nil, err
-	}
-	if b, err = appendSparseCtVec(b, sp.X.ColCts, sp.Features); err != nil {
-		return nil, fmt.Errorf("wire: encoding sparse X: %w", err)
-	}
-	return b, nil
+	return w.result()
 }
 
 // decodeSparseBatch reads a bfPredictTopK body.
 func decodeSparseBatch(body []byte) (int, *core.SparseBatch, error) {
 	c := &binCursor{b: body}
-	k, err := c.u32()
-	if err != nil {
-		return 0, nil, err
+	k := c.u32()
+	if c.err == nil && k < 1 {
+		c.failf("top-k count %d out of range", k)
 	}
-	if k < 1 {
-		return 0, nil, fmt.Errorf("%w: top-k count %d out of range", ErrBinaryEncoding, k)
-	}
-	sp := &core.SparseBatch{}
-	if sp.Features, err = c.u32(); err != nil {
-		return 0, nil, err
-	}
-	if sp.Classes, err = c.u32(); err != nil {
-		return 0, nil, err
-	}
-	if sp.N, err = c.u32(); err != nil {
-		return 0, nil, err
-	}
-	cts, err := readSparseCtVec(c, sp.N, sp.Features)
-	if err != nil {
-		return 0, nil, fmt.Errorf("wire: decoding sparse X: %w", err)
-	}
-	sp.X = &securemat.SparseEncryptedMatrix{Rows: sp.Features, Cols: sp.N, ColCts: cts}
-	if err := c.done(); err != nil {
+	sp := &core.SparseBatch{Features: c.u32(), Classes: c.u32(), N: c.u32()}
+	sp.X = &securemat.SparseEncryptedMatrix{Rows: sp.Features, Cols: sp.N, ColCts: c.sparseCtvec(sp.N, sp.Features)}
+	if err := c.finish(); err != nil {
 		return 0, nil, err
 	}
 	return k, sp, nil
@@ -757,58 +729,31 @@ func decodeSparseBatch(body []byte) (int, *core.SparseBatch, error) {
 // appendTopKHits writes the bfTopK body: one descending hit list per
 // sample.
 func appendTopKHits(b []byte, hits [][]dlog.TopKHit) ([]byte, error) {
-	var err error
-	if b, err = appendU32(b, len(hits)); err != nil {
-		return nil, err
-	}
+	w := &binWriter{b: b}
+	w.u32(len(hits))
 	for _, hs := range hits {
-		if b, err = appendU32(b, len(hs)); err != nil {
-			return nil, err
-		}
+		w.u32(len(hs))
 		for _, h := range hs {
-			if b, err = appendU32(b, h.Index); err != nil {
-				return nil, err
-			}
-			b = binary.BigEndian.AppendUint64(b, uint64(h.Value))
+			w.u32(h.Index)
+			w.i64(h.Value)
 		}
 	}
-	return b, nil
+	return w.result()
 }
 
 // decodeTopKHits reads a bfTopK body.
 func decodeTopKHits(body []byte) ([][]dlog.TopKHit, error) {
 	c := &binCursor{b: body}
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	// Each sample costs at least its length word.
-	if n*4 > len(c.b)-c.off {
-		return nil, fmt.Errorf("%w: top-k section larger than body", ErrBinaryEncoding)
-	}
-	hits := make([][]dlog.TopKHit, n)
+	// Each sample costs at least its length word, each hit 12 bytes.
+	hits := make([][]dlog.TopKHit, c.count(4))
 	for i := range hits {
-		h, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		if need := h * 12; h > 0 && (need/h != 12 || need > len(c.b)-c.off) {
-			return nil, fmt.Errorf("%w: hit list larger than body", ErrBinaryEncoding)
-		}
-		hs := make([]dlog.TopKHit, h)
+		hs := make([]dlog.TopKHit, c.count(12))
 		for t := range hs {
-			if hs[t].Index, err = c.u32(); err != nil {
-				return nil, err
-			}
-			s, err := c.take(8)
-			if err != nil {
-				return nil, err
-			}
-			hs[t].Value = int64(binary.BigEndian.Uint64(s))
+			hs[t] = dlog.TopKHit{Index: c.u32(), Value: c.i64()}
 		}
 		hits[i] = hs
 	}
-	if err := c.done(); err != nil {
+	if err := c.finish(); err != nil {
 		return nil, err
 	}
 	return hits, nil
@@ -818,38 +763,28 @@ func decodeTopKHits(body []byte) ([][]dlog.TopKHit, error) {
 
 // appendPreds writes the bfPreds body.
 func appendPreds(b []byte, preds []int) ([]byte, error) {
-	var err error
-	if b, err = appendU32(b, len(preds)); err != nil {
-		return nil, err
-	}
+	w := &binWriter{b: b}
+	w.u32(len(preds))
 	for _, p := range preds {
 		if p < -1<<31 || p > 1<<31-1 {
-			return nil, fmt.Errorf("%w: prediction %d out of i32 range", ErrBinaryEncoding, p)
+			w.fail("prediction %d out of i32 range", p)
+			break
 		}
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(p)))
+		w.b = binary.BigEndian.AppendUint32(w.b, uint32(int32(p)))
 	}
-	return b, nil
+	return w.result()
 }
 
 // decodePreds reads a bfPreds body.
 func decodePreds(body []byte) ([]int, error) {
 	c := &binCursor{b: body}
-	n, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n*4 > len(c.b)-c.off {
-		return nil, fmt.Errorf("%w: prediction section larger than body", ErrBinaryEncoding)
-	}
-	preds := make([]int, n)
+	preds := make([]int, c.count(4))
 	for i := range preds {
-		s, err := c.take(4)
-		if err != nil {
-			return nil, err
+		if s := c.take(4); s != nil {
+			preds[i] = int(int32(binary.BigEndian.Uint32(s)))
 		}
-		preds[i] = int(int32(binary.BigEndian.Uint32(s)))
 	}
-	if err := c.done(); err != nil {
+	if err := c.finish(); err != nil {
 		return nil, err
 	}
 	return preds, nil

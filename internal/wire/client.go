@@ -1,15 +1,12 @@
 package wire
 
-// ClientConn is the client side of a negotiated connection (codec.go).
-// In binary mode it multiplexes: any number of requests may be in
-// flight, tagged with ids, and a reader goroutine demultiplexes the
-// out-of-order responses. In gob fallback mode it serializes requests
-// over the legacy one-outstanding-request protocol, so callers get one
-// API whichever codec the server speaks.
+// ClientConn is the client side of a connection: any number of requests
+// may be in flight, tagged with ids, and a reader goroutine
+// demultiplexes the out-of-order responses. Prediction, submission and
+// control-plane key traffic (Call) all share this one framing path.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -19,14 +16,12 @@ import (
 	"cryptonn/internal/dlog"
 )
 
-// Codec names a negotiated wire codec.
+// Codec names the wire codec a connection speaks. CodecBinary is the only
+// one; the type stays so NewClientConn callers name it explicitly.
 type Codec string
 
-// Codec values.
-const (
-	CodecBinary Codec = "binary"
-	CodecGob    Codec = "gob"
-)
+// CodecBinary is the versioned binary framing (codec.go).
+const CodecBinary Codec = "binary"
 
 // binReply is one demultiplexed binary response frame. Body is a copy —
 // the read buffer is reused for the next frame.
@@ -37,47 +32,26 @@ type binReply struct {
 }
 
 // ClientConn is a negotiated client connection. Safe for concurrent use;
-// in gob mode concurrent requests serialize, in binary mode they pipeline.
+// concurrent requests pipeline.
 type ClientConn struct {
-	conn  net.Conn
-	codec Codec
-
-	// Binary mode.
+	conn    net.Conn
 	bc      *binConn
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan binReply
 	readErr error
 
-	// Gob fallback mode: the legacy protocol allows one outstanding
-	// request per connection.
-	gmu sync.Mutex
-
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// Dial connects and negotiates the binary codec, falling back to the
-// legacy gob protocol when the server does not speak it (a legacy server
-// closes the connection on the hello, so the fallback is a redial).
+// Dial connects and completes the codec handshake.
 func Dial(addr string) (*ClientConn, error) {
-	cc, err := DialCodec(addr, CodecBinary)
-	if err == nil {
-		return cc, nil
-	}
-	if !errors.Is(err, ErrCodecRefused) {
-		return nil, err
-	}
-	return DialCodec(addr, CodecGob)
-}
-
-// DialCodec connects with a fixed codec and no fallback.
-func DialCodec(addr string, codec Codec) (*ClientConn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
 	}
-	cc, err := NewClientConn(conn, codec)
+	cc, err := NewClientConn(conn, CodecBinary)
 	if err != nil {
 		_ = conn.Close()
 		return nil, err
@@ -85,30 +59,39 @@ func DialCodec(addr string, codec Codec) (*ClientConn, error) {
 	return cc, nil
 }
 
-// NewClientConn negotiates the given codec over an established
-// connection. On error the connection is unusable and should be closed
-// by the caller; in particular ErrCodecRefused means the server closed
-// it, so a fallback needs a fresh dial.
+// NewClientConn completes the codec handshake over an established
+// connection; codec must be CodecBinary. On error the connection is
+// unusable and should be closed by the caller.
 func NewClientConn(conn net.Conn, codec Codec) (*ClientConn, error) {
-	cc := &ClientConn{conn: conn, codec: codec}
-	switch codec {
-	case CodecGob:
-		return cc, nil
-	case CodecBinary:
-		if err := negotiateBinary(conn); err != nil {
-			return nil, err
-		}
-		cc.bc = newBinConn(conn)
-		cc.pending = make(map[uint64]chan binReply)
-		go cc.readLoop()
-		return cc, nil
-	default:
+	if codec != CodecBinary {
 		return nil, fmt.Errorf("wire: unknown codec %q", codec)
 	}
+	return newClientConn(context.Background(), conn, 0)
 }
 
-// Codec reports the negotiated codec.
-func (c *ClientConn) Codec() Codec { return c.codec }
+// newClientConn runs the handshake bounded by timeout (zero for none) and
+// ctx, then starts the reader.
+func newClientConn(ctx context.Context, conn net.Conn, timeout time.Duration) (*ClientConn, error) {
+	if timeout > 0 {
+		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+			return nil, fmt.Errorf("wire: arming handshake deadline: %w", err)
+		}
+	}
+	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+	err := negotiateBinary(conn)
+	if !stop() { // cancelled: the deadline is slammed whatever err says
+		return nil, fmt.Errorf("wire: handshake: %w", ctx.Err())
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return nil, fmt.Errorf("wire: disarming handshake deadline: %w", err)
+	}
+	cc := &ClientConn{conn: conn, bc: newBinConn(conn), pending: make(map[uint64]chan binReply)}
+	go cc.readLoop()
+	return cc, nil
+}
 
 // Close closes the connection; in-flight binary requests fail.
 func (c *ClientConn) Close() error {
@@ -144,8 +127,10 @@ func (c *ClientConn) readLoop() {
 	}
 }
 
-// send registers a pending id and writes one request frame.
-func (c *ClientConn) send(ftype byte, fill func([]byte) ([]byte, error)) (uint64, chan binReply, error) {
+// send registers a pending id and writes one request frame, bounded by
+// writeBy when it is non-zero. A write that times out may have torn the
+// frame, so it closes the connection.
+func (c *ClientConn) send(writeBy time.Time, ftype byte, fill func([]byte) ([]byte, error)) (uint64, chan binReply, error) {
 	ch := make(chan binReply, 1)
 	c.mu.Lock()
 	if c.readErr != nil {
@@ -157,8 +142,11 @@ func (c *ClientConn) send(ftype byte, fill func([]byte) ([]byte, error)) (uint64
 	id := c.nextID
 	c.pending[id] = ch
 	c.mu.Unlock()
-	if err := c.bc.writeFrame(ftype, id, fill); err != nil {
+	if err := c.bc.writeFrameBy(writeBy, ftype, id, fill); err != nil {
 		c.forget(id)
+		if IsTimeout(err) {
+			_ = c.Close()
+		}
 		return 0, nil, err
 	}
 	return id, ch, nil
@@ -208,11 +196,6 @@ func replyErr(rep binReply, verb string) error {
 // Predict submits one encrypted batch for prediction. A nil context and
 // zero timeout block without bound.
 func (c *ClientConn) Predict(ctx context.Context, enc *core.EncryptedBatch, timeout time.Duration) ([]int, error) {
-	if c.codec == CodecGob {
-		c.gmu.Lock()
-		defer c.gmu.Unlock()
-		return RequestPredictionOpts(ctx, c.conn, enc, timeout)
-	}
 	if timeout > 0 {
 		if ctx == nil {
 			ctx = context.Background()
@@ -221,7 +204,7 @@ func (c *ClientConn) Predict(ctx context.Context, enc *core.EncryptedBatch, time
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	id, ch, err := c.send(bfPredict, func(b []byte) ([]byte, error) {
+	id, ch, err := c.send(time.Time{}, bfPredict, func(b []byte) ([]byte, error) {
 		return appendEncryptedBatch(b, enc)
 	})
 	if err != nil {
@@ -252,11 +235,6 @@ func (c *ClientConn) Predict(ctx context.Context, enc *core.EncryptedBatch, time
 // sample's k largest logits as descending (label, value) pairs. A nil
 // context and zero timeout block without bound.
 func (c *ClientConn) PredictTopK(ctx context.Context, sp *core.SparseBatch, k int, timeout time.Duration) ([][]dlog.TopKHit, error) {
-	if c.codec == CodecGob {
-		c.gmu.Lock()
-		defer c.gmu.Unlock()
-		return RequestTopKOpts(ctx, c.conn, sp, k, timeout)
-	}
 	if timeout > 0 {
 		if ctx == nil {
 			ctx = context.Background()
@@ -265,7 +243,7 @@ func (c *ClientConn) PredictTopK(ctx context.Context, sp *core.SparseBatch, k in
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	id, ch, err := c.send(bfPredictTopK, func(b []byte) ([]byte, error) {
+	id, ch, err := c.send(time.Time{}, bfPredictTopK, func(b []byte) ([]byte, error) {
 		return appendSparseBatch(b, k, sp)
 	})
 	if err != nil {
@@ -294,7 +272,7 @@ func (c *ClientConn) PredictTopK(ctx context.Context, sp *core.SparseBatch, k in
 
 // ackedCall sends one request frame and waits for its bfAck.
 func (c *ClientConn) ackedCall(ftype byte, verb string, fill func([]byte) ([]byte, error)) error {
-	id, ch, err := c.send(ftype, fill)
+	id, ch, err := c.send(time.Time{}, ftype, fill)
 	if err != nil {
 		return fmt.Errorf("wire: sending %s: %w", verb, err)
 	}
@@ -314,11 +292,6 @@ func (c *ClientConn) ackedCall(ftype byte, verb string, fill func([]byte) ([]byt
 
 // SubmitBatches submits training batches followed by the done marker.
 func (c *ClientConn) SubmitBatches(batches []*core.EncryptedBatch) error {
-	if c.codec == CodecGob {
-		c.gmu.Lock()
-		defer c.gmu.Unlock()
-		return SubmitBatches(c.conn, batches)
-	}
 	for i, enc := range batches {
 		err := c.ackedCall(bfSubmit, "batch submission", func(b []byte) ([]byte, error) {
 			return appendEncryptedBatch(b, enc)
@@ -333,11 +306,6 @@ func (c *ClientConn) SubmitBatches(batches []*core.EncryptedBatch) error {
 // SubmitConvBatches submits convolutional training batches followed by
 // the done marker.
 func (c *ClientConn) SubmitConvBatches(batches []*core.EncryptedConvBatch) error {
-	if c.codec == CodecGob {
-		c.gmu.Lock()
-		defer c.gmu.Unlock()
-		return SubmitConvBatches(c.conn, batches)
-	}
 	for i, enc := range batches {
 		err := c.ackedCall(bfSubmitConv, "conv batch submission", func(b []byte) ([]byte, error) {
 			return appendConvBatch(b, enc)
@@ -352,4 +320,48 @@ func (c *ClientConn) SubmitConvBatches(batches []*core.EncryptedConvBatch) error
 // done sends the submission-complete marker.
 func (c *ClientConn) done() error {
 	return c.ackedCall(bfDone, "done marker", func(b []byte) ([]byte, error) { return b, nil })
+}
+
+// Call sends one control-plane request and waits for its answer. A
+// refusal by the server comes back as a Response with Err set and a nil
+// error; the error reports transport, encoding and cancellation failures.
+// A ctx deadline also bounds writing the request.
+func (c *ClientConn) Call(ctx context.Context, req *Request) (*Response, error) {
+	return c.call(ctx, req.Kind, func(b []byte) ([]byte, error) { return appendRequest(b, req) })
+}
+
+// call is Call over a body filler, so a fan-out can encode its request
+// once and replay the bytes to every node.
+func (c *ClientConn) call(ctx context.Context, kind MsgKind, fill func([]byte) ([]byte, error)) (*Response, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	writeBy, _ := ctx.Deadline()
+	id, ch, err := c.send(writeBy, bfRequest, fill)
+	if err != nil {
+		return nil, fmt.Errorf("wire: sending %s: %w", kind, err)
+	}
+	rep, err := c.await(ctx, id, ch)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %s exchange: %w", kind, err)
+	}
+	switch rep.ftype {
+	case bfResponse:
+		got, resp, err := decodeResponse(rep.body)
+		if err != nil {
+			return nil, err
+		}
+		if got != kind {
+			return nil, fmt.Errorf("wire: %s answer to a %s request", got, kind)
+		}
+		return resp, nil
+	case bfErr:
+		msg, _, err := decodeErrBody(rep.body)
+		if err != nil {
+			return nil, err
+		}
+		return &Response{Err: msg}, nil
+	default:
+		return nil, fmt.Errorf("wire: unexpected frame type %#x for %s", rep.ftype, kind)
+	}
 }

@@ -39,8 +39,8 @@ import (
 
 // ErrBusy reports a prediction request rejected because the dispatcher
 // queue is full. It is the protocol's typed retryable error: the server
-// marks the response retryable, RequestPrediction re-wraps it on the
-// client, and callers back off and retry (errors.Is(err, ErrBusy)).
+// flags its bfErr frame retryable, ClientConn re-wraps it on the client,
+// and callers back off and retry (errors.Is(err, ErrBusy)).
 var ErrBusy = errors.New("wire: prediction queue full")
 
 // Dispatcher defaults, selected by zero-valued DispatcherOptions fields.

@@ -1,30 +1,22 @@
 package wire
 
-// Binary hot-path codec. The legacy protocol gob-encodes every frame,
-// which costs each prediction/submission request a fresh set of gob type
-// descriptors and a big.Int round-trip per group element — measurable at
-// a few clients, fatal at thousands. This file adds a versioned binary
-// framing negotiated per connection at accept time:
+// The wire codec: one versioned binary framing for every connection.
 //
 //   - the client opens with an 8-byte hello (magic "CNNB" + version);
-//     a server that speaks the codec answers with an 8-byte ack and the
-//     connection switches to binary frames. A legacy server reads the
-//     hello as an impossible frame length (the magic decodes to a
-//     length far above MaxFrame) and closes the connection cleanly, so
-//     DialConn can fall back to gob by redialing.
+//     the server answers with an 8-byte ack (magic "CNNA" + version) and
+//     both sides switch to binary frames. A server closes a connection
+//     whose first bytes are not a hello for its own CodecVersion, so a
+//     foreign or mismatched peer fails at connect time instead of
+//     mid-stream.
 //   - binary frames carry an explicit frame type and a request id, so a
 //     connection can have many requests in flight (the prediction server
 //     evaluates them concurrently through the coalescing dispatcher and
 //     answers out of order — connection multiplexing).
-//   - hot bodies (encrypted batches, predictions) are encoded as
-//     fixed-width big-endian element slabs with explicit lengths (see
-//     binenc.go): no type descriptors, no per-frame reflection.
-//   - everything else rides inside bfGobRequest/bfGobResponse frames, so
-//     cold control-plane kinds (cluster-info, key traffic) keep gob's
-//     flexibility even on a binary connection.
-//
-// Negotiation is strictly additive: a connection that never sends the
-// hello speaks the legacy gob protocol, byte-for-byte unchanged.
+//   - hot bodies (encrypted batches, predictions) are fixed-width
+//     big-endian element slabs with explicit lengths (binenc.go);
+//     control-plane key traffic rides bfRequest/bfResponse envelopes
+//     keyed by request kind (envelope.go). No body carries type
+//     descriptors or needs reflection to decode.
 
 import (
 	"encoding/binary"
@@ -33,32 +25,29 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 )
 
 // codecMagic opens a client hello; codecAckMagic opens the server's ack.
-// As a big-endian frame length the hello reads as 0x434e4e42_xxxxxxxx,
-// orders of magnitude above MaxFrame, so it can never collide with a
-// legitimate legacy frame header.
 var (
 	codecMagic    = [4]byte{'C', 'N', 'N', 'B'}
 	codecAckMagic = [4]byte{'C', 'N', 'N', 'A'}
 )
 
 // CodecVersion is the current binary wire-format version. Bump it (and
-// regenerate the golden frames — see docs/PROTOCOL.md "Versioning") on
-// any incompatible change to the frame or body layouts.
-const CodecVersion = 1
+// regenerate the golden frames — see docs/PROTOCOL.md "Changing the wire
+// format") on any incompatible change to the frame or body layouts.
+const CodecVersion = 2
 
-// ErrCodecRefused reports that the peer did not acknowledge the binary
-// codec hello (a legacy peer closes the connection instead).
+// ErrCodecRefused reports that the peer did not acknowledge the codec
+// hello (a server closes a connection whose hello it cannot accept).
 var ErrCodecRefused = errors.New("wire: peer refused binary codec")
 
 // Binary frame types. Requests carry an id the matching response echoes.
 const (
-	// bfGobRequest / bfGobResponse wrap a legacy gob Request/Response
-	// body, giving cold kinds a ride over a binary connection.
-	bfGobRequest  = 0x01
-	bfGobResponse = 0x02
+	// Control-plane envelopes (envelope.go layouts).
+	bfRequest  = 0x01 // u8 kind + kind-specific fields
+	bfResponse = 0x02 // u8 kind + kind-specific fields
 	// Hot request bodies (binenc.go layouts).
 	bfPredict     = 0x10 // EncryptedBatch
 	bfSubmit      = 0x11 // EncryptedBatch
@@ -90,15 +79,6 @@ func ackFrame(version uint16) [8]byte {
 	copy(h[:4], codecAckMagic[:])
 	binary.BigEndian.PutUint16(h[4:6], version)
 	return h
-}
-
-// isHello reports whether an 8-byte prefix is a binary-codec hello and,
-// if so, the requested version.
-func isHello(hdr [8]byte) (uint16, bool) {
-	if [4]byte(hdr[:4]) != codecMagic {
-		return 0, false
-	}
-	return binary.BigEndian.Uint16(hdr[4:6]), true
 }
 
 // binConn is the per-connection codec state: one reusable read buffer,
@@ -144,6 +124,12 @@ func (c *binConn) readFrame() (ftype byte, id uint64, body []byte, err error) {
 // appending to the reusable write buffer. The whole frame goes out in a
 // single Write so concurrent writers never interleave partial frames.
 func (c *binConn) writeFrame(ftype byte, id uint64, fill func([]byte) ([]byte, error)) error {
+	return c.writeFrameBy(time.Time{}, ftype, id, fill)
+}
+
+// writeFrameBy is writeFrame bounded by a write deadline (zero for none),
+// armed and cleared under the write lock so it bounds only this frame.
+func (c *binConn) writeFrameBy(deadline time.Time, ftype byte, id uint64, fill func([]byte) ([]byte, error)) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	buf := c.wbuf[:0]
@@ -163,6 +149,12 @@ func (c *binConn) writeFrame(ftype byte, id uint64, fill func([]byte) ([]byte, e
 	buf[4] = ftype
 	binary.BigEndian.PutUint64(buf[5:13], id)
 	c.wbuf = buf
+	if !deadline.IsZero() {
+		if err := c.conn.SetWriteDeadline(deadline); err != nil {
+			return fmt.Errorf("wire: arming write deadline: %w", err)
+		}
+		defer c.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck // disarm is best-effort
+	}
 	if _, err := c.conn.Write(buf); err != nil {
 		return fmt.Errorf("wire: writing frame: %w", err)
 	}
@@ -188,39 +180,37 @@ func (c *binConn) writeErr(id uint64, msg string, retryable bool) error {
 
 // decodeErrBody unpacks a bfErr body.
 func decodeErrBody(body []byte) (msg string, retryable bool, err error) {
-	if len(body) < 1 {
-		return "", false, errors.New("wire: truncated error frame")
+	if len(body) < 1 || body[0]&^1 != 0 {
+		return "", false, fmt.Errorf("%w: bad error frame flags", ErrBinaryEncoding)
 	}
 	return string(body[1:]), body[0]&1 != 0, nil
 }
 
-// sniffHello reads the first 8 bytes of a just-accepted connection and
-// decides the codec. On the binary path it completes the handshake by
-// writing the ack. On the legacy path the consumed bytes are the first
-// gob frame's length header and are handed back to the caller.
-func sniffHello(conn net.Conn) (bin bool, hdr [8]byte, err error) {
-	if _, err = io.ReadFull(conn, hdr[:]); err != nil {
-		return false, hdr, err
+// acceptHello completes the server side of the handshake on a
+// just-accepted connection: it reads the client hello and acks it, or
+// fails — and the caller closes — on anything but a hello for
+// CodecVersion.
+func acceptHello(conn net.Conn) error {
+	var hdr [8]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return err
 	}
-	version, ok := isHello(hdr)
-	if !ok {
-		return false, hdr, nil
+	if [4]byte(hdr[:4]) != codecMagic {
+		return errors.New("wire: peer did not open with the codec hello")
 	}
-	if version != CodecVersion {
-		// Future versions must renegotiate; closing makes the client
-		// fall back to gob (or surface the mismatch).
-		return false, hdr, fmt.Errorf("wire: unsupported codec version %d", version)
+	if v := binary.BigEndian.Uint16(hdr[4:6]); v != CodecVersion {
+		return fmt.Errorf("wire: unsupported codec version %d", v)
 	}
 	ack := ackFrame(CodecVersion)
 	if _, err := conn.Write(ack[:]); err != nil {
-		return false, hdr, fmt.Errorf("wire: writing codec ack: %w", err)
+		return fmt.Errorf("wire: writing codec ack: %w", err)
 	}
-	return true, hdr, nil
+	return nil
 }
 
 // negotiateBinary sends the client hello and waits for the server ack.
-// A legacy server closes the connection instead of acking, surfaced as
-// ErrCodecRefused so the caller can redial in gob mode.
+// A server that cannot accept the hello closes the connection instead,
+// surfaced as ErrCodecRefused.
 func negotiateBinary(conn net.Conn) error {
 	hello := helloFrame(CodecVersion)
 	if _, err := conn.Write(hello[:]); err != nil {

@@ -10,9 +10,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"math/rand"
 	"net"
@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"cryptonn/internal/authority"
 	"cryptonn/internal/core"
 	"cryptonn/internal/febo"
 	"cryptonn/internal/feip"
@@ -243,8 +244,9 @@ func TestAppendU32MatchesDecoderLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := (&binCursor{b: b}).u32(); err != nil || v != maxBinCount {
-		t.Fatalf("cap value did not round-trip: %d, %v", v, err)
+	c := &binCursor{b: b}
+	if v := c.u32(); c.err != nil || v != maxBinCount {
+		t.Fatalf("cap value did not round-trip: %d, %v", v, c.err)
 	}
 }
 
@@ -288,9 +290,6 @@ func TestClientConnNegotiatesBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	if cc.Codec() != CodecBinary {
-		t.Fatalf("negotiated %s, want binary", cc.Codec())
-	}
 	rng := rand.New(rand.NewSource(4))
 	preds, err := cc.Predict(context.Background(), synthBatch(rng, 3, 2, 2, false), 5*time.Second)
 	if err != nil {
@@ -299,8 +298,8 @@ func TestClientConnNegotiatesBinary(t *testing.T) {
 	if len(preds) != 2 || preds[0] != 0 || preds[1] != 1 {
 		t.Fatalf("bad preds %v", preds)
 	}
-	if srv.binConns.Load() != 1 || srv.gobConns.Load() != 0 {
-		t.Fatalf("codec accounting: bin=%d gob=%d", srv.binConns.Load(), srv.gobConns.Load())
+	if n := srv.accepted.Load(); n != 1 {
+		t.Fatalf("%d connections accounted, want 1", n)
 	}
 }
 
@@ -351,63 +350,6 @@ func TestClientConnMultiplexesOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestClientConnGobFallback(t *testing.T) {
-	// A legacy server reads the hello as an oversized frame and closes;
-	// emulate one with a raw listener so Dial's fallback path runs.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				var req Request
-				if err := ReadMsg(conn, &req); err != nil {
-					return // the hello trips ErrFrameTooLarge → close
-				}
-				_ = WriteMsg(conn, &Response{Preds: []int{0}})
-			}(conn)
-		}
-	}()
-	cc, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-	if cc.Codec() != CodecGob {
-		t.Fatalf("negotiated %s, want gob fallback", cc.Codec())
-	}
-}
-
-func TestPredictionServerStillSpeaksGob(t *testing.T) {
-	// A pre-codec client (plain WriteMsg/ReadMsg, no hello) must keep
-	// working against the sniffing server byte-for-byte.
-	addr, srv := startPredictServer(t, echoPredict, DispatcherOptions{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	rng := rand.New(rand.NewSource(6))
-	enc := synthBatch(rng, 3, 2, 2, false)
-	preds, err := RequestPrediction(conn, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != 2 {
-		t.Fatalf("bad preds %v", preds)
-	}
-	if srv.gobConns.Load() != 1 {
-		t.Fatalf("gob connection not accounted: %d", srv.gobConns.Load())
-	}
-}
-
 func TestBinaryErrFrameMapsToErrBusy(t *testing.T) {
 	predict := func(*core.EncryptedBatch) ([]int, error) { return nil, errors.New("boom") }
 	// Queue of 1 and a slow first evaluation force ErrBusy on the rest;
@@ -446,9 +388,6 @@ func TestTrainingServerBinarySubmission(t *testing.T) {
 	cc, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cc.Codec() != CodecBinary {
-		t.Fatalf("negotiated %s, want binary", cc.Codec())
 	}
 	want := synthBatch(rng, 4, 3, 3, true)
 	if err := cc.SubmitBatches([]*core.EncryptedBatch{want}); err != nil {
@@ -586,46 +525,6 @@ func TestTrainingServerBinaryPanicContained(t *testing.T) {
 	}
 }
 
-func TestGobFramesRideBinaryConnections(t *testing.T) {
-	// Cold kinds travel as bfGobRequest/bfGobResponse over a negotiated
-	// binary connection; an unknown kind must come back as a gob error
-	// response, proving the wrapped round trip.
-	addr, _ := startPredictServer(t, echoPredict, DispatcherOptions{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := negotiateBinary(conn); err != nil {
-		t.Fatal(err)
-	}
-	bc := newBinConn(conn)
-	err = bc.writeFrame(bfGobRequest, 7, func(b []byte) ([]byte, error) {
-		fb := frameBuffer{buf: b}
-		if err := gob.NewEncoder(&fb).Encode(&Request{Kind: KindClusterInfo}); err != nil {
-			return nil, err
-		}
-		return fb.buf, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ftype, id, body, err := bc.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ftype != bfGobResponse || id != 7 {
-		t.Fatalf("frame type %#x id %d", ftype, id)
-	}
-	var resp Response
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Fatal("unknown kind served without error")
-	}
-}
-
 func TestClientConnPredictCancellation(t *testing.T) {
 	block := make(chan struct{})
 	predict := func(enc *core.EncryptedBatch) ([]int, error) {
@@ -658,5 +557,113 @@ func TestClientConnPredictCancellation(t *testing.T) {
 	}
 	if len(preds) != 1 {
 		t.Fatalf("bad preds %v", preds)
+	}
+}
+
+func TestWriteReadMsgRoundTrip(t *testing.T) {
+	c1, c2 := net.Pipe()
+	defer func() { _ = c1.Close(); _ = c2.Close() }()
+	go func() {
+		_ = newBinConn(c1).writeFrame(bfRequest, 3, func(b []byte) ([]byte, error) {
+			return appendRequest(b, &Request{Kind: KindIPKey, Y: []int64{1, -2, 3}})
+		})
+	}()
+	ftype, id, body, err := newBinConn(c2).readFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := decodeRequest(body, DefaultMaxEta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ftype != bfRequest || id != 3 || req.Kind != KindIPKey || len(req.Y) != 3 || req.Y[1] != -2 {
+		t.Errorf("round trip mangled request: type %#x id %d %+v", ftype, id, req)
+	}
+}
+
+func TestReadMsgRejectsOversizedFrame(t *testing.T) {
+	c1, c2 := net.Pipe()
+	defer func() { _ = c1.Close(); _ = c2.Close() }()
+	go func() {
+		hdr := make([]byte, binHeaderLen)
+		hdr[0] = 0xFF // absurd length
+		_, _ = c1.Write(hdr)
+	}()
+	if _, _, _, err := newBinConn(c2).readFrame(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+func TestTrainingServerRejectsGarbage(t *testing.T) {
+	_, bc := startTrainingServerConn(t)
+	err := bc.writeFrame(bfSubmit, 1, func(b []byte) ([]byte, error) { return append(b, "garbage"...), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectFrame(t, bc, bfErr, 1)
+	// Wrong kind for this server.
+	err = bc.writeFrame(bfRequest, 2, func(b []byte) ([]byte, error) {
+		return appendRequest(b, &Request{Kind: KindIPKey, Y: []int64{1}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectFrame(t, bc, bfErr, 2)
+}
+
+// dialRaw connects to addr and completes the handshake, returning the
+// frame-level connection for tests that craft bodies by hand.
+func dialRaw(t *testing.T, addr string) *binConn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := negotiateBinary(conn); err != nil {
+		t.Fatal(err)
+	}
+	return newBinConn(conn)
+}
+
+func TestAuthorityServerRejectsUnknownKind(t *testing.T) {
+	_, ks := startAuthority(t, authority.AllowAll())
+	addr := ks.cc.conn.RemoteAddr().String()
+	bc := dialRaw(t, addr)
+	for id, ftype := range []byte{bfSubmit, bfRequest} {
+		err := bc.writeFrame(ftype, uint64(id+1), func(b []byte) ([]byte, error) { return append(b, 0xEE), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		expectFrame(t, bc, bfErr, uint64(id+1))
+	}
+}
+
+// expectHelloRefused opens a connection with the given hello and
+// requires a clean close: no ack, no hang.
+func expectHelloRefused(t *testing.T, addr string, hello [8]byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := io.ReadFull(conn, make([]byte, 8)); err == nil || IsTimeout(err) {
+		t.Errorf("%s answered hello %q with %d bytes (err %v), want a clean close", addr, hello[:], n, err)
+	}
+}
+
+func TestServersRefuseForeignHello(t *testing.T) {
+	_, ks := startAuthority(t, authority.AllowAll())
+	predictAddr, _ := startPredictServer(t, echoPredict, DispatcherOptions{})
+	ts, _ := startTrainingServerConn(t)
+	for _, addr := range []string{ks.cc.conn.RemoteAddr().String(), predictAddr, ts.listener.Addr().String()} {
+		for _, hello := range [][8]byte{helloFrame(CodecVersion - 1), {'G', 'E', 'T', ' ', '/', ' ', 'H', 'T'}} {
+			expectHelloRefused(t, addr, hello)
+		}
 	}
 }

@@ -7,28 +7,31 @@
 //     pre-process-key-derivative steps (AuthorityServer +
 //     RemoteKeyService, batched variants included);
 //   - client → server: encrypted training-data submission, Algorithm 1's
-//     pre-process-encryption output in transit (SubmitBatches +
+//     pre-process-encryption output in transit (ClientConn.SubmitBatches +
 //     TrainingServer);
-//   - client ⇄ server: encrypted prediction (RequestPrediction +
+//   - client ⇄ server: encrypted prediction (ClientConn.Predict +
 //     PredictionServer), the secure-computation step exposed as a
 //     service.
 //
-// Messages are length-prefixed gob frames over TCP. The protocol is
-// deliberately request/response with one outstanding request per
-// connection; RemoteKeyService serializes concurrent callers, and callers
-// needing parallel key traffic open multiple connections (see Pool).
+// Every connection speaks one codec (codec.go): an 8-byte hello/ack
+// version check, then length-prefixed binary frames tagged with a type
+// and a request id. Hot bodies are fixed-width element slabs (binenc.go);
+// key traffic rides kind-keyed request/response envelopes (envelope.go).
+// Ids let a connection carry many requests at once: the prediction
+// server answers out of order, the authority in order. RemoteKeyService
+// still serializes its callers, so parallel key traffic opens several
+// connections (see KeyServicePool).
 //
 // # Serving throughput: cross-client batch coalescing
 //
-// One request at a time per connection does not mean one evaluation per
-// request: a PredictionServer built with NewCoalescingPredictionServer
-// funnels requests from all connections into a Dispatcher, which merges
+// A PredictionServer built with NewCoalescingPredictionServer funnels
+// requests from all connections into a Dispatcher, which merges
 // compatible encrypted batches (up to MaxCoalescedSamples, waiting at
 // most MaxDelay) into a single evaluation and demultiplexes per-sample
 // results back to each caller. Backpressure is explicit: a full dispatch
 // queue rejects with the typed, retryable ErrBusy, which travels the
-// wire as Response.Retryable and resurfaces as ErrBusy from
-// RequestPrediction — clients back off and retry. Dispatcher.Stats
+// wire as a retryable bfErr frame and resurfaces as ErrBusy from
+// ClientConn.Predict — clients back off and retry. Dispatcher.Stats
 // exposes the per-server counters (requests, rejections, coalesced batch
 // widths, queue depth, latency percentiles).
 //
@@ -38,8 +41,9 @@
 // from any goroutine; the Dispatcher's single dispatch loop owns all
 // prediction evaluation, so the PredictFunc it drives need not be
 // concurrency-safe. RemoteKeyService is safe for concurrent use (one
-// in-flight request at a time); Pool fans key traffic across several
-// connections. Every decoded key and ciphertext is validated for group
-// membership before use — a malformed or malicious peer cannot inject
-// non-elements into the crypto layer.
+// in-flight request at a time); KeyServicePool fans key traffic across
+// several connections. Every decoder bounds its allocations by the bytes
+// it was sent, and every decoded key and ciphertext is validated for
+// group membership before use — a malformed or malicious peer cannot
+// inject non-elements into the crypto layer.
 package wire

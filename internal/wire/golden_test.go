@@ -1,42 +1,32 @@
 package wire
 
 // Golden-frame protocol compatibility tests: one committed frame per
-// message kind, for both codecs, under testdata/golden/.
+// message kind under testdata/golden/, byte-compared in both directions
+// (today's encoder must reproduce the golden, today's decoder must accept
+// it and re-encode it canonically). The layouts are hand-specified in
+// docs/PROTOCOL.md, so any byte drift is a compatibility break.
 //
-// The two codecs pin different contracts, each the strongest its format
-// offers:
-//
-//   - Binary frames are byte-compared in both directions (today's
-//     encoder must reproduce the golden, today's decoder must accept it
-//     and re-encode it canonically). The layout is hand-specified in
-//     docs/PROTOCOL.md, so any byte drift is a compatibility break.
-//   - Gob frames are decode-compared: the committed bytes must still
-//     decode to the expected message. Gob streams are self-describing
-//     and their type-descriptor IDs depend on process history (the
-//     encoding/gob type registry is global and first-use ordered), so
-//     byte identity is not gob's contract — decodability is.
-//
-// A binary mismatch is only allowed together with a codec version bump
-// and regenerated goldens (see "Changing the wire format" in
+// A mismatch is only allowed together with a codec version bump and
+// regenerated goldens (see "Changing the wire format" in
 // docs/PROTOCOL.md):
 //
 //	go test ./internal/wire/ -run TestGolden -update
 
 import (
 	"bytes"
-	"encoding/gob"
 	"flag"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
 	"cryptonn/internal/core"
 	"cryptonn/internal/dlog"
+	"cryptonn/internal/febo"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden frame files")
@@ -60,16 +50,6 @@ func binFrame(t *testing.T, ftype byte, id uint64, fill func([]byte) ([]byte, er
 		t.Fatalf("frame type 0x%02x: %v", ftype, err)
 	}
 	return append([]byte(nil), mc.Bytes()...)
-}
-
-// gobFrame renders one legacy gob frame (length header + gob stream).
-func gobFrame(t *testing.T, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteMsg(&buf, v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // goldenMessages is the canonical message set, built from a fixed seed.
@@ -112,9 +92,7 @@ func binaryGoldens(t *testing.T, m goldenMessages) map[string][]byte {
 		t.Fatal(err)
 	}
 	return map[string][]byte{
-		// Handshake: byte-frozen by construction — a legacy server reads
-		// the hello as a length header, so its shape can never change
-		// within a major codec generation.
+		// Handshake: only the version field may ever move.
 		"hello.bin":     hello[:],
 		"hello_ack.bin": helloAck[:],
 
@@ -142,36 +120,65 @@ func binaryGoldens(t *testing.T, m goldenMessages) map[string][]byte {
 	}
 }
 
-// gobGoldens renders the same kinds as legacy gob envelope frames.
-func gobGoldens(t *testing.T, m goldenMessages) map[string][]byte {
+// controlGolden is one control-plane exchange: a request and the
+// success response answering it.
+type controlGolden struct {
+	name string
+	req  *Request
+	resp *Response
+}
+
+// controlGoldens is the control-plane fixture set, one exchange per
+// request kind, built from literals (small integers of varied widths —
+// the codec does not care whether they are group elements).
+func controlGoldens() []controlGolden {
+	p, q, g := big.NewInt(2039), big.NewInt(1019), big.NewInt(4)
+	el := func(vs ...int64) []*big.Int {
+		out := make([]*big.Int, len(vs))
+		for i, v := range vs {
+			out[i] = big.NewInt(v)
+		}
+		return out
+	}
+	return []controlGolden{
+		{"clusterinfo", &Request{Kind: KindClusterInfo},
+			&Response{NodeIndex: 2, Threshold: 2, Nodes: 3, GroupP: p, GroupQ: q, GroupG: g, H: el(1024), HShares: el(16, 256, 1877)}},
+		{"feippublic", &Request{Kind: KindFEIPPublic, Eta: 3},
+			&Response{GroupP: p, GroupQ: q, GroupG: g, H: el(9, 300, 81)}},
+		{"febopublic", &Request{Kind: KindFEBOPublic},
+			&Response{NodeIndex: 1, GroupP: p, GroupQ: q, GroupG: g, H: el(1500)}},
+		{"ipkey", &Request{Kind: KindIPKey, Y: []int64{1, -2, 3}},
+			&Response{K: big.NewInt(777)}},
+		{"ipkeysparse", &Request{Kind: KindIPKeySparse, Eta: 10000, Idx: []int{3, 77, 9999}, Y: []int64{5, -1, 0}},
+			&Response{K: big.NewInt(0)}},
+		{"ipkeybatch", &Request{Kind: KindIPKeyBatch, YBatch: [][]int64{{1, 2}, {-3, 1 << 40}}},
+			&Response{KBatch: el(5, 70000)}},
+		{"bokey", &Request{Kind: KindBOKey, Cmt: big.NewInt(1234), Op: int(febo.OpMul), Scalar: -9},
+			&Response{K: big.NewInt(42)}},
+		{"bokeybatch", &Request{Kind: KindBOKeyBatch, Cmts: el(3, 1999), Op: int(febo.OpAdd), Scalars: []int64{4, -4}},
+			&Response{KBatch: el(11, 12)}},
+		{"partialipkeybatch", &Request{Kind: KindPartialIPKeyBatch, YBatch: [][]int64{{7}, {0}}},
+			&Response{NodeIndex: 1, KBatch: el(100, 0)}},
+		{"partialbokeybatch", &Request{Kind: KindPartialBOKeyBatch, Cmts: el(8), Op: int(febo.OpSub), Scalars: []int64{2}},
+			&Response{NodeIndex: 3, KBatch: el(1500), ProofC: big.NewInt(99), ProofZ: big.NewInt(1018)}},
+	}
+}
+
+// controlFrames renders the control-plane goldens: <name>_req.bin and
+// <name>_resp.bin per exchange.
+func controlFrames(t *testing.T) map[string][]byte {
 	t.Helper()
-	predictPayload, err := encodePayload(m.predictBatch)
-	if err != nil {
-		t.Fatal(err)
+	frames := map[string][]byte{}
+	for i, cg := range controlGoldens() {
+		id := uint64(20 + i)
+		frames[cg.name+"_req.bin"] = binFrame(t, bfRequest, id, func(b []byte) ([]byte, error) {
+			return appendRequest(b, cg.req)
+		})
+		frames[cg.name+"_resp.bin"] = binFrame(t, bfResponse, id, func(b []byte) ([]byte, error) {
+			return appendResponse(b, cg.req.Kind, cg.resp)
+		})
 	}
-	submitPayload, err := encodePayload(m.submitBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	convPayload, err := encodePayload(m.convBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sparsePayload, err := encodePayload(m.sparseBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string][]byte{
-		"predict_gob.bin":     gobFrame(t, &Request{Kind: KindPredict, Payload: predictPayload}),
-		"submit_gob.bin":      gobFrame(t, &Request{Kind: KindSubmitBatch, Payload: submitPayload}),
-		"submitconv_gob.bin":  gobFrame(t, &Request{Kind: KindSubmitConvBatch, Payload: convPayload}),
-		"done_gob.bin":        gobFrame(t, &Request{Kind: KindDone}),
-		"ack_gob.bin":         gobFrame(t, &Response{}),
-		"preds_gob.bin":       gobFrame(t, &Response{Preds: m.preds}),
-		"err_gob.bin":         gobFrame(t, &Response{Err: "prediction queue full", Retryable: true}),
-		"predicttopk_gob.bin": gobFrame(t, &Request{Kind: KindPredictTopK, Payload: sparsePayload, TopK: 2}),
-		"topk_gob.bin":        gobFrame(t, &Response{TopK: m.topk}),
-	}
+	return frames
 }
 
 func goldenPath(name string) string { return filepath.Join("testdata", "golden", name) }
@@ -185,36 +192,18 @@ func readGolden(t *testing.T, name string) []byte {
 	return frame
 }
 
-// sameBatch compares two encrypted batches through their canonical
-// binary encoding — exactly one encoding exists per message, so byte
-// equality is deep equality.
-func sameBatch(t *testing.T, got, want *core.EncryptedBatch) bool {
-	t.Helper()
-	g, err := appendEncryptedBatch(nil, got)
-	if err != nil {
-		t.Fatalf("re-encoding decoded batch: %v", err)
-	}
-	w, err := appendEncryptedBatch(nil, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Equal(g, w)
-}
-
 func TestGoldenFrames(t *testing.T) {
 	m := newGoldenMessages()
 	binFrames := binaryGoldens(t, m)
+	for name, frame := range controlFrames(t) {
+		binFrames[name] = frame
+	}
 	if *updateGolden {
 		dir := filepath.Join("testdata", "golden")
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		for name, frame := range binFrames {
-			if err := os.WriteFile(filepath.Join(dir, name), frame, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for name, frame := range gobGoldens(t, m) {
 			if err := os.WriteFile(filepath.Join(dir, name), frame, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -294,6 +283,26 @@ func TestGoldenFramesDecodeBinary(t *testing.T) {
 			return body, nil
 		},
 	}
+	for _, cg := range controlGoldens() {
+		kind := cg.req.Kind
+		reencode[cg.name+"_req.bin"] = func(body []byte) ([]byte, error) {
+			req, err := decodeRequest(body, DefaultMaxEta)
+			if err != nil {
+				return nil, err
+			}
+			return appendRequest(nil, req)
+		}
+		reencode[cg.name+"_resp.bin"] = func(body []byte) ([]byte, error) {
+			got, resp, err := decodeResponse(body)
+			if err != nil {
+				return nil, err
+			}
+			if got != kind {
+				return nil, fmt.Errorf("decoded kind %s, want %s", got, kind)
+			}
+			return appendResponse(nil, got, resp)
+		}
+	}
 	for name, re := range reencode {
 		frame := readGolden(t, name)
 		var mc memConn
@@ -315,121 +324,5 @@ func TestGoldenFramesDecodeBinary(t *testing.T) {
 			t.Errorf("%s: decode→re-encode is not canonical (%d vs %d body bytes)",
 				name, len(round), len(frame)-binHeaderLen)
 		}
-	}
-}
-
-// TestGoldenFramesDecodeGob replays the committed gob goldens through
-// ReadMsg and checks the decoded values — the legacy decoder must keep
-// accepting frames written by older peers, whatever their descriptor
-// IDs were.
-func TestGoldenFramesDecodeGob(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens being rewritten")
-	}
-	m := newGoldenMessages()
-
-	decodeBatch := func(payload []byte) *core.EncryptedBatch {
-		t.Helper()
-		var enc core.EncryptedBatch
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&enc); err != nil {
-			t.Fatalf("decoding payload: %v", err)
-		}
-		return &enc
-	}
-
-	var req Request
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "predict_gob.bin")), &req); err != nil {
-		t.Fatalf("predict_gob.bin: %v", err)
-	}
-	if req.Kind != KindPredict || !sameBatch(t, decodeBatch(req.Payload), m.predictBatch) {
-		t.Errorf("predict_gob.bin decoded to kind %v or wrong batch", req.Kind)
-	}
-
-	req = Request{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "submit_gob.bin")), &req); err != nil {
-		t.Fatalf("submit_gob.bin: %v", err)
-	}
-	if req.Kind != KindSubmitBatch || !sameBatch(t, decodeBatch(req.Payload), m.submitBatch) {
-		t.Errorf("submit_gob.bin decoded to kind %v or wrong batch", req.Kind)
-	}
-
-	req = Request{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "submitconv_gob.bin")), &req); err != nil {
-		t.Fatalf("submitconv_gob.bin: %v", err)
-	}
-	var conv core.EncryptedConvBatch
-	if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&conv); err != nil {
-		t.Fatalf("submitconv_gob.bin payload: %v", err)
-	}
-	gotConv, err := appendConvBatch(nil, &conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantConv, err := appendConvBatch(nil, m.convBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Kind != KindSubmitConvBatch || !bytes.Equal(gotConv, wantConv) {
-		t.Errorf("submitconv_gob.bin decoded to kind %v or wrong batch", req.Kind)
-	}
-
-	req = Request{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "done_gob.bin")), &req); err != nil {
-		t.Fatalf("done_gob.bin: %v", err)
-	}
-	if req.Kind != KindDone {
-		t.Errorf("done_gob.bin decoded to kind %v", req.Kind)
-	}
-
-	var resp Response
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "ack_gob.bin")), &resp); err != nil {
-		t.Fatalf("ack_gob.bin: %v", err)
-	}
-	if resp.Err != "" || resp.Preds != nil {
-		t.Errorf("ack_gob.bin decoded to %+v", resp)
-	}
-
-	resp = Response{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "preds_gob.bin")), &resp); err != nil {
-		t.Fatalf("preds_gob.bin: %v", err)
-	}
-	if !reflect.DeepEqual(resp.Preds, m.preds) {
-		t.Errorf("preds_gob.bin decoded preds %v, want %v", resp.Preds, m.preds)
-	}
-
-	resp = Response{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "err_gob.bin")), &resp); err != nil {
-		t.Fatalf("err_gob.bin: %v", err)
-	}
-	if resp.Err != "prediction queue full" || !resp.Retryable {
-		t.Errorf("err_gob.bin decoded to %+v", resp)
-	}
-
-	req = Request{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "predicttopk_gob.bin")), &req); err != nil {
-		t.Fatalf("predicttopk_gob.bin: %v", err)
-	}
-	var sp core.SparseBatch
-	if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&sp); err != nil {
-		t.Fatalf("predicttopk_gob.bin payload: %v", err)
-	}
-	gotSparse, err := appendSparseBatch(nil, 2, &sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSparse, err := appendSparseBatch(nil, 2, m.sparseBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Kind != KindPredictTopK || req.TopK != 2 || !bytes.Equal(gotSparse, wantSparse) {
-		t.Errorf("predicttopk_gob.bin decoded to kind %v k %d or wrong batch", req.Kind, req.TopK)
-	}
-
-	resp = Response{}
-	if err := ReadMsg(bytes.NewReader(readGolden(t, "topk_gob.bin")), &resp); err != nil {
-		t.Fatalf("topk_gob.bin: %v", err)
-	}
-	if !reflect.DeepEqual(resp.TopK, m.topk) {
-		t.Errorf("topk_gob.bin decoded hits %v, want %v", resp.TopK, m.topk)
 	}
 }

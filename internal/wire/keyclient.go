@@ -43,7 +43,7 @@ type KeyClientOptions struct {
 // client and keep repeated requests off the wire entirely.
 type RemoteKeyService struct {
 	mu   sync.Mutex
-	conn net.Conn
+	cc   *ClientConn
 	opts KeyClientOptions
 
 	feipCache map[int]*feip.MasterPublicKey
@@ -56,27 +56,27 @@ func DialKeyService(addr string) (*RemoteKeyService, error) {
 	return DialKeyServiceOpts(addr, KeyClientOptions{})
 }
 
-// DialKeyServiceOpts connects to an authority at addr with I/O options.
+// DialKeyServiceOpts connects to an authority at addr with I/O options;
+// they bound the codec handshake as well as every later exchange.
 func DialKeyServiceOpts(addr string, opts KeyClientOptions) (*RemoteKeyService, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing authority: %w", err)
 	}
-	return NewRemoteKeyServiceOpts(conn, opts), nil
-}
-
-// NewRemoteKeyService wraps an established connection.
-func NewRemoteKeyService(conn net.Conn) *RemoteKeyService {
-	return NewRemoteKeyServiceOpts(conn, KeyClientOptions{})
-}
-
-// NewRemoteKeyServiceOpts wraps an established connection with I/O options.
-func NewRemoteKeyServiceOpts(conn net.Conn, opts KeyClientOptions) *RemoteKeyService {
-	return &RemoteKeyService{conn: conn, opts: opts, feipCache: make(map[int]*feip.MasterPublicKey)}
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cc, err := newClientConn(ctx, conn, opts.Timeout)
+	if err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("wire: connecting to authority: %w", err)
+	}
+	return &RemoteKeyService{cc: cc, opts: opts, feipCache: make(map[int]*feip.MasterPublicKey)}, nil
 }
 
 // Close releases the connection.
-func (c *RemoteKeyService) Close() error { return c.conn.Close() }
+func (c *RemoteKeyService) Close() error { return c.cc.Close() }
 
 // RoundTrips reports the number of request/response exchanges performed
 // (cache hits on public keys do not count). It quantifies what key-request
@@ -89,51 +89,39 @@ func (c *RemoteKeyService) RoundTrips() uint64 {
 }
 
 // roundTrip performs one request/response exchange. The connection
-// serializes exchanges, so the whole write+read runs under the client
-// mutex — which is exactly why the deadline and cancellation hooks below
-// matter: without them a hung peer wedges not just this caller but every
-// caller queued on the mutex behind it.
+// serializes exchanges, so the whole exchange runs under the client
+// mutex — which is exactly why the Timeout and Context bounds matter:
+// without them a hung peer wedges not just this caller but every caller
+// queued on the mutex behind it. An abandoned exchange's late answer is
+// dropped by request id, so the connection stays usable.
 func (c *RemoteKeyService) roundTrip(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.trips++
-
-	if d := c.opts.Timeout; d > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(d)); err != nil {
-			return nil, fmt.Errorf("wire: arming exchange deadline: %w", err)
-		}
-		defer c.conn.SetDeadline(time.Time{}) //nolint:errcheck // disarm is best-effort
-	}
 	ctx := c.opts.Context
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("wire: authority exchange: %w", err)
-		}
-		// Cancellation slams the deadline into the past, unblocking any
-		// in-flight read/write with a timeout error we translate below.
-		stop := context.AfterFunc(ctx, func() {
-			_ = c.conn.SetDeadline(time.Unix(1, 0))
-		})
-		defer stop()
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	wrapIO := func(err error) error {
-		if ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("wire: authority exchange: %w", ctx.Err())
-		}
-		return err
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("wire: authority exchange: %w", err)
 	}
-
-	if err := WriteMsg(c.conn, req); err != nil {
-		return nil, wrapIO(err)
+	// Cancellation also unblocks a write stuck on a peer that stopped
+	// reading (exchanges are serialized, so no other write is in flight).
+	stop := context.AfterFunc(ctx, func() { _ = c.cc.conn.SetWriteDeadline(time.Unix(1, 0)) })
+	defer stop()
+	if d := c.opts.Timeout; d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
-	var resp Response
-	if err := ReadMsg(c.conn, &resp); err != nil {
-		return nil, wrapIO(fmt.Errorf("wire: reading authority response: %w", err))
+	resp, err := c.cc.Call(ctx, req)
+	if err != nil {
+		return nil, err
 	}
 	if resp.Err != "" {
 		return nil, fmt.Errorf("wire: authority refused %s: %s", req.Kind, resp.Err)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // FEIPPublic implements securemat.KeyService.

@@ -90,9 +90,8 @@ func (s *PredictionServer) WriteMetrics(w io.Writer) {
 		fmt.Sprintf("{quantile=\"0.5\"} %g", st.P50.Seconds()),
 		fmt.Sprintf("{quantile=\"0.99\"} %g", st.P99.Seconds()))
 	metricFamily(w, "cryptonn_predict_connections_total", "counter",
-		"Prediction connections accepted, by negotiated codec.",
-		fmt.Sprintf("{codec=\"binary\"} %d", s.binConns.Load()),
-		fmt.Sprintf("{codec=\"gob\"} %d", s.gobConns.Load()))
+		"Prediction connections accepted.",
+		fmt.Sprintf(" %d", s.accepted.Load()))
 }
 
 // WriteMetrics exposes the authority server's incident counters (see

@@ -33,8 +33,7 @@ func TestMetricsHandlerScrape(t *testing.T) {
 		"# TYPE cryptonn_predict_requests_total counter",
 		"cryptonn_predict_requests_total 1",
 		"cryptonn_predict_samples_total 2",
-		"cryptonn_predict_connections_total{codec=\"binary\"} 1",
-		"cryptonn_predict_connections_total{codec=\"gob\"} 0",
+		"cryptonn_predict_connections_total 1",
 		"cryptonn_predict_latency_seconds{quantile=\"0.99\"}",
 		"cryptonn_predict_queue_depth 0",
 	} {

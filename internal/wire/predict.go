@@ -4,14 +4,12 @@ package wire
 // server can answer prediction requests over encrypted inputs. The
 // client encrypts a batch exactly as for training (the labels may be
 // all-zero placeholders — only the input ciphertexts are touched), sends
-// one KindPredict frame, and receives per-sample classes. If the client
+// one bfPredict frame, and receives per-sample classes. If the client
 // used a label map, the returned classes are masked and only the client
 // can translate them — the paper's "flexible privacy setting".
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -20,7 +18,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cryptonn/internal/core"
 	"cryptonn/internal/dlog"
@@ -30,120 +27,15 @@ import (
 // (label-mapped) classes; service.Server.Predict satisfies it.
 type PredictFunc func(*core.EncryptedBatch) ([]int, error)
 
-// RequestPrediction submits one encrypted batch for prediction and
-// returns the per-sample classes. It blocks without bound; use
-// RequestPredictionOpts to bound or cancel the exchange.
-func RequestPrediction(conn net.Conn, enc *core.EncryptedBatch) ([]int, error) {
-	return RequestPredictionOpts(nil, conn, enc, 0)
-}
-
-// RequestPredictionOpts submits one encrypted batch for prediction with an
-// exchange deadline (zero for none) and optional context cancellation
-// (nil for none). Cancellation slams the connection deadline so blocked
-// I/O returns immediately.
-func RequestPredictionOpts(ctx context.Context, conn net.Conn, enc *core.EncryptedBatch, timeout time.Duration) ([]int, error) {
-	payload, err := encodePayload(enc)
-	if err != nil {
-		return nil, fmt.Errorf("wire: encoding prediction batch: %w", err)
-	}
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, fmt.Errorf("wire: arming prediction deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // disarm is best-effort
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("wire: prediction exchange: %w", err)
-		}
-		stop := context.AfterFunc(ctx, func() {
-			_ = conn.SetDeadline(time.Unix(1, 0))
-		})
-		defer stop()
-	}
-	wrapIO := func(err error) error {
-		if ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("wire: prediction exchange: %w", ctx.Err())
-		}
-		return err
-	}
-	if err := WriteMsg(conn, &Request{Kind: KindPredict, Payload: payload}); err != nil {
-		return nil, wrapIO(fmt.Errorf("wire: sending prediction request: %w", err))
-	}
-	var resp Response
-	if err := ReadMsg(conn, &resp); err != nil {
-		return nil, wrapIO(fmt.Errorf("wire: reading prediction response: %w", err))
-	}
-	if resp.Err != "" {
-		if resp.Retryable {
-			return nil, fmt.Errorf("%w: server rejected prediction: %s", ErrBusy, resp.Err)
-		}
-		return nil, fmt.Errorf("wire: server rejected prediction: %s", resp.Err)
-	}
-	if len(resp.Preds) != enc.N {
-		return nil, fmt.Errorf("wire: %d predictions for %d samples", len(resp.Preds), enc.N)
-	}
-	return resp.Preds, nil
-}
-
-// RequestTopKOpts submits one coordinate-form sparse batch over the
-// legacy gob protocol and returns each sample's k largest (label, value)
-// pairs, with an exchange deadline (zero for none) and optional context
-// cancellation (nil for none).
-func RequestTopKOpts(ctx context.Context, conn net.Conn, sp *core.SparseBatch, k int, timeout time.Duration) ([][]dlog.TopKHit, error) {
-	payload, err := encodePayload(sp)
-	if err != nil {
-		return nil, fmt.Errorf("wire: encoding sparse prediction batch: %w", err)
-	}
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, fmt.Errorf("wire: arming prediction deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // disarm is best-effort
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("wire: top-k exchange: %w", err)
-		}
-		stop := context.AfterFunc(ctx, func() {
-			_ = conn.SetDeadline(time.Unix(1, 0))
-		})
-		defer stop()
-	}
-	wrapIO := func(err error) error {
-		if ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("wire: top-k exchange: %w", ctx.Err())
-		}
-		return err
-	}
-	if err := WriteMsg(conn, &Request{Kind: KindPredictTopK, Payload: payload, TopK: k}); err != nil {
-		return nil, wrapIO(fmt.Errorf("wire: sending top-k request: %w", err))
-	}
-	var resp Response
-	if err := ReadMsg(conn, &resp); err != nil {
-		return nil, wrapIO(fmt.Errorf("wire: reading top-k response: %w", err))
-	}
-	if resp.Err != "" {
-		if resp.Retryable {
-			return nil, fmt.Errorf("%w: server rejected top-k prediction: %s", ErrBusy, resp.Err)
-		}
-		return nil, fmt.Errorf("wire: server rejected top-k prediction: %s", resp.Err)
-	}
-	if len(resp.TopK) != sp.N {
-		return nil, fmt.Errorf("wire: %d top-k hit lists for %d samples", len(resp.TopK), sp.N)
-	}
-	return resp.TopK, nil
-}
-
-// PredictionServer answers KindPredict requests with a PredictFunc.
+// PredictionServer answers bfPredict (and, with a top-k evaluator,
+// bfPredictTopK) frames with a PredictFunc.
 type PredictionServer struct {
 	predict    PredictFunc
 	dispatcher *Dispatcher
 	log        *log.Logger
 	panics     atomic.Uint64
-	// Connections accepted per negotiated codec, for /metrics.
-	gobConns atomic.Uint64
-	binConns atomic.Uint64
+	// Connections accepted, for /metrics.
+	accepted atomic.Uint64
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -264,41 +156,14 @@ func (s *PredictionServer) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	bin, hdr, err := sniffHello(conn)
-	if err != nil {
+	if err := acceptHello(conn); err != nil {
 		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 			s.log.Printf("prediction server: negotiating with %s: %v", conn.RemoteAddr(), err)
 		}
 		return
 	}
-	if bin {
-		s.binConns.Add(1)
-		s.handleBinary(conn)
-		return
-	}
-	s.gobConns.Add(1)
-	first := true
-	for {
-		var req Request
-		var err error
-		if first {
-			// The sniffed bytes are the first gob frame's length header.
-			err, first = readMsgAfterHeader(conn, hdr, &req), false
-		} else {
-			err = ReadMsg(conn, &req)
-		}
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.log.Printf("prediction server: read from %s: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		resp := s.answer(&req)
-		if err := WriteMsg(conn, resp); err != nil {
-			s.log.Printf("prediction server: write to %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-	}
+	s.accepted.Add(1)
+	s.serveFrames(conn)
 }
 
 // maxInflightPerConn bounds concurrent evaluations spawned by one binary
@@ -307,11 +172,11 @@ func (s *PredictionServer) handle(conn net.Conn) {
 // does the rest.
 const maxInflightPerConn = 32
 
-// handleBinary serves one negotiated binary connection. Prediction
-// frames are multiplexed: each runs on its own goroutine (bounded by
+// serveFrames serves one negotiated connection. Prediction frames are
+// multiplexed: each runs on its own goroutine (bounded by
 // maxInflightPerConn) and responses go out in completion order, matched
-// by request id. Gob-wrapped frames serve cold kinds inline.
-func (s *PredictionServer) handleBinary(conn net.Conn) {
+// by request id.
+func (s *PredictionServer) serveFrames(conn net.Conn) {
 	bc := newBinConn(conn)
 	sem := make(chan struct{}, maxInflightPerConn)
 	var wg sync.WaitGroup
@@ -377,26 +242,6 @@ func (s *PredictionServer) handleBinary(conn net.Conn) {
 					s.log.Printf("prediction server: write to %s: %v", conn.RemoteAddr(), werr)
 				}
 			}(id, k, sp)
-		case bfGobRequest:
-			var req Request
-			if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				if werr := bc.writeErr(id, fmt.Sprintf("decoding request: %v", err), false); werr != nil {
-					return
-				}
-				continue
-			}
-			resp := s.answer(&req)
-			err := bc.writeFrame(bfGobResponse, id, func(b []byte) ([]byte, error) {
-				fb := frameBuffer{buf: b}
-				if err := gob.NewEncoder(&fb).Encode(resp); err != nil {
-					return nil, fmt.Errorf("wire: encoding response: %w", err)
-				}
-				return fb.buf, nil
-			})
-			if err != nil {
-				s.log.Printf("prediction server: write to %s: %v", conn.RemoteAddr(), err)
-				return
-			}
 		default:
 			if err := bc.writeErr(id, fmt.Sprintf("prediction server cannot serve frame type %#x", ftype), false); err != nil {
 				return
@@ -405,49 +250,10 @@ func (s *PredictionServer) handleBinary(conn net.Conn) {
 	}
 }
 
-func (s *PredictionServer) answer(req *Request) (resp *Response) {
-	// A panicking evaluation (a model/engine bug tripped by one request)
-	// must cost that request an error response, not the whole serving
-	// process: recover, count, log, keep the connection alive.
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			s.log.Printf("prediction server: panic serving %s: %v\n%s", req.Kind, r, debug.Stack())
-			resp = &Response{Err: "prediction failed: internal error"}
-		}
-	}()
-	switch req.Kind {
-	case KindPredict:
-		var enc core.EncryptedBatch
-		if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&enc); err != nil {
-			return &Response{Err: fmt.Sprintf("decoding prediction batch: %v", err)}
-		}
-		if enc.N <= 0 || enc.X == nil {
-			return &Response{Err: "empty prediction batch"}
-		}
-		preds, err := s.evaluate(&enc)
-		if err != nil {
-			return &Response{Err: fmt.Sprintf("prediction failed: %v", err), Retryable: errors.Is(err, ErrBusy)}
-		}
-		return &Response{Preds: preds}
-	case KindPredictTopK:
-		var sp core.SparseBatch
-		if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&sp); err != nil {
-			return &Response{Err: fmt.Sprintf("decoding sparse prediction batch: %v", err)}
-		}
-		hits, err := s.evaluateTopK(&sp, req.TopK)
-		if err != nil {
-			return &Response{Err: fmt.Sprintf("top-k prediction failed: %v", err), Retryable: errors.Is(err, ErrBusy)}
-		}
-		return &Response{TopK: hits}
-	default:
-		return &Response{Err: fmt.Sprintf("prediction server cannot serve %s", req.Kind)}
-	}
-}
-
 // evaluate runs one decoded batch through the dispatcher (or the direct
-// predict function) with panic containment — shared by the gob and
-// binary paths.
+// predict function) with panic containment: a panicking evaluation (a
+// model/engine bug tripped by one request) costs that request an error
+// response, not the whole serving process.
 func (s *PredictionServer) evaluate(enc *core.EncryptedBatch) (preds []int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -471,8 +277,8 @@ func (s *PredictionServer) evaluate(enc *core.EncryptedBatch) (preds []int, err 
 }
 
 // evaluateTopK runs one decoded sparse batch through the dispatcher with
-// panic containment — shared by the gob and binary paths. Top-k serving
-// requires the coalescing dispatcher (DispatcherOptions.TopK).
+// panic containment. Top-k serving requires the coalescing dispatcher
+// (DispatcherOptions.TopK).
 func (s *PredictionServer) evaluateTopK(sp *core.SparseBatch, k int) (hits [][]dlog.TopKHit, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -1,15 +1,10 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 
-	"cryptonn/internal/dlog"
 	"cryptonn/internal/febo"
 	"cryptonn/internal/group"
 )
@@ -21,7 +16,9 @@ const MaxFrame = 1 << 30
 // ErrFrameTooLarge reports a frame exceeding MaxFrame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds limit")
 
-// MsgKind discriminates request frames.
+// MsgKind discriminates control-plane requests (key traffic with an
+// authority or cluster node). It is the first byte of every bfRequest and
+// bfResponse body and selects the rest of the layout (envelope.go).
 type MsgKind int
 
 // Request kinds.
@@ -30,16 +27,11 @@ const (
 	KindFEBOPublic
 	KindIPKey
 	KindBOKey
-	KindSubmitBatch
-	KindSubmitConvBatch
-	KindDone
 	KindIPKeyBatch
-	KindPredict
 	KindBOKeyBatch
 	KindClusterInfo
 	KindPartialIPKeyBatch
 	KindPartialBOKeyBatch
-	KindPredictTopK
 	KindIPKeySparse
 )
 
@@ -54,16 +46,8 @@ func (k MsgKind) String() string {
 		return "ip-key"
 	case KindBOKey:
 		return "bo-key"
-	case KindSubmitBatch:
-		return "submit-batch"
-	case KindSubmitConvBatch:
-		return "submit-conv-batch"
-	case KindDone:
-		return "done"
 	case KindIPKeyBatch:
 		return "ip-key-batch"
-	case KindPredict:
-		return "predict"
 	case KindBOKeyBatch:
 		return "bo-key-batch"
 	case KindClusterInfo:
@@ -72,8 +56,6 @@ func (k MsgKind) String() string {
 		return "partial-ip-key-batch"
 	case KindPartialBOKeyBatch:
 		return "partial-bo-key-batch"
-	case KindPredictTopK:
-		return "predict-topk"
 	case KindIPKeySparse:
 		return "ip-key-sparse"
 	default:
@@ -81,8 +63,8 @@ func (k MsgKind) String() string {
 	}
 }
 
-// Request is the single request envelope; Kind selects which fields are
-// meaningful.
+// Request is the control-plane request envelope; Kind selects which fields
+// are meaningful (and which travel on the wire).
 type Request struct {
 	Kind MsgKind
 	// Eta is the FEIP dimension (KindFEIPPublic).
@@ -94,9 +76,6 @@ type Request struct {
 	// request (KindIPKeySparse): the requested key is for the η-dimensional
 	// vector equal to Y on Idx and zero elsewhere. Eta carries η.
 	Idx []int
-	// TopK is the number of (label, value) pairs requested per sample
-	// (KindPredictTopK).
-	TopK int
 	// YBatch carries several weight vectors in one frame
 	// (KindIPKeyBatch) — one round trip for a whole weight matrix
 	// instead of one per row.
@@ -112,22 +91,13 @@ type Request struct {
 	// into a single frame.
 	Cmts    []*big.Int
 	Scalars []int64
-	// Batch carries an encrypted batch (KindSubmitBatch); ConvBatch a
-	// convolutional one (KindSubmitConvBatch). They are gob-encoded
-	// payloads to keep this package free of import cycles with
-	// internal/core.
-	Payload []byte
 }
 
-// Response is the single response envelope.
+// Response is the control-plane response envelope.
 type Response struct {
-	// Err is non-empty on failure; other fields are then meaningless.
+	// Err is non-empty on failure; other fields are then meaningless. A
+	// failed response travels as a bfErr frame.
 	Err string
-	// Retryable marks a failure as transient server-side backpressure
-	// (the coalescing dispatcher's queue was full): the request was
-	// rejected unseen and the client should back off and retry. Clients
-	// observe it as ErrBusy from RequestPrediction.
-	Retryable bool
 	// Group carries group parameters for public-key responses.
 	GroupP, GroupQ, GroupG *big.Int
 	// H carries h_i (FEIP) or h (FEBO).
@@ -137,12 +107,6 @@ type Response struct {
 	// KBatch carries the derived keys of a KindIPKeyBatch request — or the
 	// partial keys of a partial-key batch — in request order.
 	KBatch []*big.Int
-	// Preds carries per-sample predicted (label-mapped) classes for a
-	// KindPredict request.
-	Preds []int
-	// TopK carries, per sample of a KindPredictTopK request, the k largest
-	// logits as descending (label index, fixed-point value) pairs.
-	TopK [][]dlog.TopKHit
 	// NodeIndex, Threshold and Nodes identify the answering threshold
 	// cluster node (KindClusterInfo and partial-key responses).
 	NodeIndex int64
@@ -155,74 +119,6 @@ type Response struct {
 	// ProofC, ProofZ carry the batched Chaum–Pedersen proof accompanying a
 	// KindPartialBOKeyBatch response.
 	ProofC, ProofZ *big.Int
-}
-
-// WriteMsg writes one length-prefixed gob frame.
-func WriteMsg(w io.Writer, v any) error {
-	frame, err := encodeFrame(v)
-	if err != nil {
-		return err
-	}
-	return writeFrame(w, frame)
-}
-
-// encodeFrame serializes v into a complete header+body frame. Frames are
-// self-contained (each carries its own gob stream), so one encoded frame
-// can be written to many connections — the quorum client encodes a
-// partial-key request once for its whole fan-out.
-func encodeFrame(v any) ([]byte, error) {
-	frame := frameBuffer{buf: make([]byte, 8)}
-	if err := gob.NewEncoder(&frame).Encode(v); err != nil {
-		return nil, fmt.Errorf("wire: encoding frame: %w", err)
-	}
-	body := len(frame.buf) - 8
-	if body > MaxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, body)
-	}
-	binary.BigEndian.PutUint64(frame.buf[:8], uint64(body))
-	return frame.buf, nil
-}
-
-// writeFrame writes a frame produced by encodeFrame.
-func writeFrame(w io.Writer, frame []byte) error {
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("wire: writing frame: %w", err)
-	}
-	return nil
-}
-
-// ReadMsg reads one length-prefixed gob frame into v.
-func ReadMsg(r io.Reader, v any) error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err // io.EOF passes through for clean close detection
-	}
-	return readMsgAfterHeader(r, hdr, v)
-}
-
-// readMsgAfterHeader finishes reading a gob frame whose 8-byte length
-// header was already consumed — servers sniff those bytes for the binary
-// codec hello (codec.go) before falling back to the gob path.
-func readMsgAfterHeader(r io.Reader, hdr [8]byte, v any) error {
-	n := binary.BigEndian.Uint64(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("wire: reading frame body: %w", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(v); err != nil {
-		return fmt.Errorf("wire: decoding frame: %w", err)
-	}
-	return nil
-}
-
-type frameBuffer struct{ buf []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.buf = append(f.buf, p...)
-	return len(p), nil
 }
 
 // groupFromResponse reconstructs and validates group parameters from a

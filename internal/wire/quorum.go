@@ -38,6 +38,7 @@ import (
 	"math/big"
 	mrand "math/rand/v2"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,13 +100,13 @@ func (o QuorumOptions) withDefaults() QuorumOptions {
 }
 
 // quorumNode is one cluster member: its dial function and the persistent
-// connection, redialed on failure. The mutex serializes exchanges on the
-// connection; concurrent requests to the same node queue here.
+// client connection, redialed on failure. The mutex serializes exchanges
+// on the connection; concurrent requests to the same node queue here.
 type quorumNode struct {
 	dial func() (net.Conn, error)
 
 	mu    sync.Mutex
-	conn  net.Conn
+	cc    *ClientConn
 	index atomic.Int64 // 1-based share index, learned from responses
 	// suspect records that this node's last exchange failed; requests
 	// prefer non-suspect nodes as primaries.
@@ -113,50 +114,52 @@ type quorumNode struct {
 }
 
 // exchange performs one deadline-bounded request/response with the node,
-// dialing if necessary. Any error tears the connection down so the next
-// attempt redials.
-func (nd *quorumNode) exchange(ctx context.Context, kind MsgKind, frame []byte, timeout time.Duration) (*Response, error) {
+// dialing if necessary; body is the request's pre-encoded envelope. Any
+// failure but a refusal tears the connection down so the next attempt
+// redials.
+func (nd *quorumNode) exchange(ctx context.Context, kind MsgKind, body []byte, timeout time.Duration) (*Response, error) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if nd.conn == nil {
+	if nd.cc == nil {
 		conn, err := nd.dial()
 		if err != nil {
 			return nil, err
 		}
-		nd.conn = conn
+		if nd.cc, err = newClientConn(ctx, conn, timeout); err != nil {
+			_ = conn.Close()
+			return nil, err
+		}
 	}
-	conn := nd.conn
-	fail := func(err error) (*Response, error) {
-		_ = conn.Close()
-		nd.conn = nil
+	cc := nd.cc
+	xctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	// Expiry or service shutdown closes the connection, which also
+	// unblocks a write stuck on a peer that stopped reading.
+	stop := context.AfterFunc(xctx, func() { _ = cc.Close() })
+	defer stop()
+	resp, err := cc.call(xctx, kind, func(b []byte) ([]byte, error) { return append(b, body...), nil })
+	if err != nil {
+		_ = cc.Close()
+		nd.cc = nil
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
+		if xctx.Err() != nil {
+			// Not context.DeadlineExceeded: that would read as service
+			// shutdown to tryNode and stop the retries.
+			return nil, fmt.Errorf("wire: node %s exchange: %w", kind, os.ErrDeadlineExceeded)
+		}
 		return nil, err
 	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return fail(fmt.Errorf("wire: arming node deadline: %w", err))
-	}
-	// Service shutdown slams the deadline so a blocked exchange unwinds.
-	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	if err := writeFrame(conn, frame); err != nil {
-		return fail(err)
-	}
-	var resp Response
-	if err := ReadMsg(conn, &resp); err != nil {
-		return fail(err)
-	}
-	_ = conn.SetDeadline(time.Time{})
 	if resp.Err != "" {
 		// Protocol-level refusal: the connection is fine, the request is
 		// not. Do not tear down; do not retry.
 		return nil, &refusalError{kind: kind, msg: resp.Err}
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // refusalError is a node's protocol-level rejection — the exchange
@@ -173,9 +176,9 @@ func (e *refusalError) Error() string {
 func (nd *quorumNode) close() {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if nd.conn != nil {
-		_ = nd.conn.Close()
-		nd.conn = nil
+	if nd.cc != nil {
+		_ = nd.cc.Close()
+		nd.cc = nil
 	}
 }
 
@@ -254,14 +257,14 @@ func (s *QuorumKeyService) bootstrap() error {
 		resp *Response
 		err  error
 	}
-	frame, err := encodeFrame(&Request{Kind: KindClusterInfo})
+	body, err := appendRequest(nil, &Request{Kind: KindClusterInfo})
 	if err != nil {
 		return err
 	}
 	ch := make(chan res, len(s.nodes))
 	for i, nd := range s.nodes {
 		go func(i int, nd *quorumNode) {
-			resp, err := s.tryNode(nd, KindClusterInfo, frame)
+			resp, err := s.tryNode(nd, KindClusterInfo, body)
 			ch <- res{i, resp, err}
 		}(i, nd)
 	}
@@ -341,9 +344,9 @@ func (s *QuorumKeyService) bootstrap() error {
 }
 
 // validateClusterInfo structurally validates one node's cluster-info
-// answer. Gob decodes absent fields as nil, so every pointer sameCluster
-// later compares must be proven present here — one malformed response must
-// cost that node its vote, not panic the bootstrap.
+// answer (the decoder never yields nil integers, so only shape is left to
+// check): one malformed response must cost that node its vote, not panic
+// the bootstrap.
 func validateClusterInfo(resp *Response, dialed int) error {
 	if resp.Threshold < 1 || resp.Nodes < resp.Threshold {
 		return fmt.Errorf("wire: invalid cluster shape T=%d N=%d", resp.Threshold, resp.Nodes)
@@ -351,16 +354,8 @@ func validateClusterInfo(resp *Response, dialed int) error {
 	if resp.Nodes != dialed {
 		return fmt.Errorf("wire: cluster reports %d nodes, client configured with %d", resp.Nodes, dialed)
 	}
-	if resp.GroupP == nil || resp.GroupQ == nil || resp.GroupG == nil {
-		return errors.New("wire: cluster info missing group parameters")
-	}
-	if len(resp.H) != 1 || resp.H[0] == nil || len(resp.HShares) != resp.Nodes {
+	if len(resp.H) != 1 || len(resp.HShares) != resp.Nodes {
 		return errors.New("wire: cluster info missing joint key or share commitments")
-	}
-	for j, a := range resp.HShares {
-		if a == nil {
-			return fmt.Errorf("wire: cluster info missing share commitment %d", j+1)
-		}
 	}
 	if resp.NodeIndex < 1 || resp.NodeIndex > int64(resp.Nodes) {
 		return fmt.Errorf("wire: node claims share index %d of %d", resp.NodeIndex, resp.Nodes)
@@ -441,7 +436,7 @@ func (s *QuorumKeyService) Stats() QuorumStats {
 // node answered; asking again buys nothing. I/O errors are retried. The
 // node's suspect flag tracks the outcome, steering primary selection for
 // later requests.
-func (s *QuorumKeyService) tryNode(nd *quorumNode, kind MsgKind, frame []byte) (*Response, error) {
+func (s *QuorumKeyService) tryNode(nd *quorumNode, kind MsgKind, body []byte) (*Response, error) {
 	var err error
 	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -459,7 +454,7 @@ func (s *QuorumKeyService) tryNode(nd *quorumNode, kind MsgKind, frame []byte) (
 		}
 		var resp *Response
 		s.trips.Add(1)
-		resp, err = nd.exchange(s.ctx, kind, frame, s.opts.Timeout)
+		resp, err = nd.exchange(s.ctx, kind, body, s.opts.Timeout)
 		if err == nil {
 			if resp.NodeIndex > 0 {
 				nd.index.Store(resp.NodeIndex)
@@ -511,7 +506,7 @@ const (
 // returns once handle says done or every contacted node has answered and
 // no standby remains.
 func (s *QuorumKeyService) collect(req *Request, need int, handle func(partialResult) int) error {
-	frame, err := encodeFrame(req)
+	body, err := appendRequest(nil, req)
 	if err != nil {
 		return err
 	}
@@ -519,7 +514,7 @@ func (s *QuorumKeyService) collect(req *Request, need int, handle func(partialRe
 	launch := func(i int) {
 		nd := s.nodes[i]
 		go func() {
-			resp, err := s.tryNode(nd, req.Kind, frame)
+			resp, err := s.tryNode(nd, req.Kind, body)
 			ch <- partialResult{node: i, index: nd.index.Load(), resp: resp, err: err}
 		}()
 	}

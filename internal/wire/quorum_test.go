@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"math/rand"
 	"net"
@@ -28,6 +29,20 @@ type testCluster struct {
 	cancel  context.CancelFunc
 }
 
+// lockedReader serializes a seeded math/rand source: every node of a
+// cluster draws proof nonces from the cluster's one reader, and the node
+// servers answer concurrently.
+type lockedReader struct {
+	mu sync.Mutex
+	r  io.Reader
+}
+
+func (l *lockedReader) Read(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.r.Read(p)
+}
+
 func startCluster(t testing.TB, th, n int, seed int64) *testCluster {
 	t.Helper()
 	return startClusterBits(t, group.TestBits, th, n, seed)
@@ -39,7 +54,8 @@ func startClusterBits(t testing.TB, bits, th, n int, seed int64) *testCluster {
 	if err != nil {
 		t.Fatalf("embedded group: %v", err)
 	}
-	_, nodes, err := authority.NewCluster(params, authority.AllowAll(), th, n, rand.New(rand.NewSource(seed)))
+	rnd := &lockedReader{r: rand.New(rand.NewSource(seed))}
+	_, nodes, err := authority.NewCluster(params, authority.AllowAll(), th, n, rnd)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -155,9 +171,11 @@ func TestQuorumDerivesVerifiedKeys(t *testing.T) {
 func TestQuorumToleratesSlowAndDeadNodes(t *testing.T) {
 	tc := startCluster(t, 3, 5, 3)
 	dials := tc.dialers()
-	// Node 0 wedges (drops all traffic after the bootstrap exchange);
-	// node 1 is slow but functional.
-	dials[0] = wire.FaultDialer(dials[0], wire.FaultPlan{Mode: wire.FaultDrop, AfterOps: 4})
+	// Node 0 wedges: each connection passes five operations (the
+	// handshake's hello write and ack read, then one exchange's request
+	// write and response header and body reads) and drops all traffic
+	// after that. Node 1 is slow but functional.
+	dials[0] = wire.FaultDialer(dials[0], wire.FaultPlan{Mode: wire.FaultDrop, AfterOps: 5})
 	dials[1] = wire.FaultDialer(dials[1], wire.FaultPlan{ReadDelay: 30 * time.Millisecond, WriteDelay: 30 * time.Millisecond})
 
 	opts := quickOpts()
@@ -238,28 +256,22 @@ func startRewriting(t *testing.T, tc *testCluster, i int, rewrite func(req *wire
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				up, err := net.Dial("tcp", honest)
+				up, err := wire.Dial(honest)
 				if err != nil {
 					return
 				}
 				defer up.Close()
-				for {
-					var req wire.Request
-					if err := wire.ReadMsg(conn, &req); err != nil {
-						return
+				_ = wire.ServeRequests(conn, wire.DefaultMaxEta, func(req *wire.Request, err error) *wire.Response {
+					var resp *wire.Response
+					if err == nil {
+						resp, err = up.Call(context.Background(), req)
 					}
-					if err := wire.WriteMsg(up, &req); err != nil {
-						return
+					if err != nil {
+						return &wire.Response{Err: err.Error()}
 					}
-					var resp wire.Response
-					if err := wire.ReadMsg(up, &resp); err != nil {
-						return
-					}
-					rewrite(&req, &resp)
-					if err := wire.WriteMsg(conn, &resp); err != nil {
-						return
-					}
-				}
+					rewrite(req, resp)
+					return resp
+				})
 			}(conn)
 		}
 	}()
@@ -393,19 +405,9 @@ func TestQuorumConcurrentHammer(t *testing.T) {
 // servers cannot emit a complete function key.
 func TestNodeServerRefusesWholeKeys(t *testing.T) {
 	tc := startCluster(t, 2, 3, 11)
-	conn, err := net.Dial("tcp", tc.addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	cc := dialNode(t, tc.addrs[0])
 	for _, kind := range []wire.MsgKind{wire.KindIPKey, wire.KindIPKeyBatch, wire.KindBOKey, wire.KindBOKeyBatch} {
-		if err := wire.WriteMsg(conn, &wire.Request{Kind: kind, Y: []int64{1}, YBatch: [][]int64{{1}}, Cmts: []*big.Int{big.NewInt(1)}, Scalars: []int64{1}, Op: int(febo.OpAdd), Cmt: big.NewInt(1), Scalar: 1}); err != nil {
-			t.Fatal(err)
-		}
-		var resp wire.Response
-		if err := wire.ReadMsg(conn, &resp); err != nil {
-			t.Fatal(err)
-		}
+		resp := call(t, cc, &wire.Request{Kind: kind, Y: []int64{1}, YBatch: [][]int64{{1}}, Cmts: []*big.Int{big.NewInt(1)}, Scalars: []int64{1}, Op: int(febo.OpAdd), Cmt: big.NewInt(1), Scalar: 1})
 		if resp.Err == "" {
 			t.Fatalf("node served whole-key request %s", kind)
 		}
@@ -417,19 +419,9 @@ func TestNodeServerRefusesWholeKeys(t *testing.T) {
 // partials, as the quorum client does internally.
 func TestPartialProofsVerifyAgainstClusterInfo(t *testing.T) {
 	tc := startCluster(t, 2, 3, 13)
-	conn, err := net.Dial("tcp", tc.addrs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	cc := dialNode(t, tc.addrs[1])
 
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindClusterInfo}); err != nil {
-		t.Fatal(err)
-	}
-	var info wire.Response
-	if err := wire.ReadMsg(conn, &info); err != nil {
-		t.Fatal(err)
-	}
+	info := call(t, cc, &wire.Request{Kind: wire.KindClusterInfo})
 	if info.Err != "" {
 		t.Fatal(info.Err)
 	}
@@ -439,13 +431,7 @@ func TestPartialProofsVerifyAgainstClusterInfo(t *testing.T) {
 	}
 
 	cmts := []*big.Int{params.PowGInt64(3), params.PowGInt64(11)}
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindPartialBOKeyBatch, Cmts: cmts, Op: int(febo.OpMul), Scalars: []int64{1, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := wire.ReadMsg(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := call(t, cc, &wire.Request{Kind: wire.KindPartialBOKeyBatch, Cmts: cmts, Op: int(febo.OpMul), Scalars: []int64{1, 1}})
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
@@ -460,26 +446,37 @@ func TestPartialProofsVerifyAgainstClusterInfo(t *testing.T) {
 	}
 }
 
+// dialNode connects to one node directly, outside the quorum client.
+func dialNode(t *testing.T, addr string) *wire.ClientConn {
+	t.Helper()
+	cc, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cc.Close() })
+	return cc
+}
+
+// call performs one control-plane exchange, failing the test on
+// transport errors (refusals come back in Response.Err).
+func call(t *testing.T, cc *wire.ClientConn, req *wire.Request) *wire.Response {
+	t.Helper()
+	resp, err := cc.Call(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 // clusterInfoFrom queries one node's cluster-info view directly, outside
 // the quorum client.
 func clusterInfoFrom(t *testing.T, addr string) *wire.Response {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindClusterInfo}); err != nil {
-		t.Fatal(err)
-	}
-	var info wire.Response
-	if err := wire.ReadMsg(conn, &info); err != nil {
-		t.Fatal(err)
-	}
+	info := call(t, dialNode(t, addr), &wire.Request{Kind: wire.KindClusterInfo})
 	if info.Err != "" {
 		t.Fatal(info.Err)
 	}
-	return &info
+	return info
 }
 
 // TestQuorumBootstrapRequiresThresholdEndorsement pins the quorum-read
@@ -551,15 +548,14 @@ func TestQuorumBootstrapOutvotesForkedClusterInfo(t *testing.T) {
 	verifyIPKeys(t, q, [][]int64{{1, -2, 3}})
 }
 
-// TestQuorumBootstrapSurvivesMalformedClusterInfo: gob decodes absent
-// fields as nil, so a node answering cluster-info with the group
-// parameters stripped must cost that node its vote — not panic the
-// client — and the honest majority still bootstraps.
+// TestQuorumBootstrapSurvivesMalformedClusterInfo: a node answering
+// cluster-info with zeroed group parameters must cost that node its vote
+// — not panic the client — and the honest majority still bootstraps.
 func TestQuorumBootstrapSurvivesMalformedClusterInfo(t *testing.T) {
 	tc := startCluster(t, 2, 3, 23)
 	evil := startRewriting(t, tc, 2, func(req *wire.Request, resp *wire.Response) {
 		if req.Kind == wire.KindClusterInfo {
-			resp.GroupP, resp.GroupQ, resp.GroupG = nil, nil, nil
+			resp.GroupP, resp.GroupQ, resp.GroupG = new(big.Int), new(big.Int), new(big.Int)
 		}
 	})
 	dials := tc.dialers()
@@ -599,11 +595,7 @@ func TestQuorumFEIPPublicOutvotesForgedKey(t *testing.T) {
 	}
 	defer q.Close()
 
-	conn, err := net.Dial("tcp", tc.addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	cc := dialNode(t, tc.addrs[0])
 	// Vary η so each round is a fresh (uncached) vote with its own
 	// arrival order.
 	for eta := 2; eta <= 5; eta++ {
@@ -611,13 +603,7 @@ func TestQuorumFEIPPublicOutvotesForgedKey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FEIPPublic(%d): %v", eta, err)
 		}
-		if err := wire.WriteMsg(conn, &wire.Request{Kind: wire.KindFEIPPublic, Eta: eta}); err != nil {
-			t.Fatal(err)
-		}
-		var honest wire.Response
-		if err := wire.ReadMsg(conn, &honest); err != nil {
-			t.Fatal(err)
-		}
+		honest := call(t, cc, &wire.Request{Kind: wire.KindFEIPPublic, Eta: eta})
 		if honest.Err != "" {
 			t.Fatal(honest.Err)
 		}
