@@ -93,14 +93,15 @@ fuzz-smoke:
 # Hot-path benchmarks: group-level multiplication/exponentiation atoms
 # (dense + sparse MultiExp), FEIP primitive costs (sequential +
 # shared-key parallel + coordinate-form sparse encryption), the dlog
-# solver (sequential + shared-table parallel + the top-k descending
-# scan), the securemat batched encrypt/decrypt pipelines, the
+# solver (sequential + shared-table parallel + the outward scan's cost
+# by distance from zero + the top-k descending scan), the securemat batched encrypt/decrypt pipelines, the
 # prediction-serving throughput engine (coalesced vs serial over
 # loopback TCP, and the connection-count sweep), the sparse serving sweep (dense full-solve vs
 # coordinate-form full ranking vs top-k at the 256-bit parameter), the
 # threshold-quorum key-derivation overhead vs a
-# single authority, the paper's Fig. 3 element-wise pipeline, and the
-# end-to-end sparse multi-label (ICD) sweep.
+# single authority, the paper's Fig. 3 element-wise pipeline, its Fig. 6 /
+# Table III encrypted training step and epoch, and the end-to-end sparse
+# multi-label (ICD) sweep.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkExp$$|BenchmarkFixedBasePow|BenchmarkMultiExp|BenchmarkPowGInt64|BenchmarkMulMont|BenchmarkBatchInv|BenchmarkCombVsWindow|BenchmarkColdStart' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./internal/group/
@@ -118,7 +119,7 @@ bench:
 		-count $(COUNT) -benchtime $(SPARSE_BENCHTIME) -timeout 30m ./internal/service/
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumIPKeyBatch' \
 		-count $(COUNT) -benchtime $(SERVE_BENCHTIME) ./internal/wire/
-	$(GO) test -run '^$$' -bench 'BenchmarkFig3' -benchmem -count $(COUNT) -benchtime $(BENCHTIME) .
+	$(GO) test -run '^$$' -bench 'BenchmarkFig3|BenchmarkFig6SecureStep$$|BenchmarkTable3Epoch' -benchmem -count $(COUNT) -benchtime $(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkICDEndToEnd' \
 		-benchmem -count $(COUNT) -benchtime $(BENCHTIME) ./examples/icd/
 

@@ -137,6 +137,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		if decoded != res.MaskedPreds[j] {
+			return fmt.Errorf("label map inverted %d to %d, want %d", masked, decoded, res.MaskedPreds[j])
+		}
 		fmt.Printf("  server reports masked class %d → client inverts to %d (truth %d)\n",
 			masked, decoded, truth)
 	}

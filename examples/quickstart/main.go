@@ -79,6 +79,9 @@ func run() error {
 		want += x[i] * y[i]
 	}
 	fmt.Printf("   ⟨x, y⟩ recovered from ciphertext: %d (plaintext check: %d)\n\n", got, want)
+	if got != want {
+		return fmt.Errorf("FEIP recovered %d, plaintext says %d", got, want)
+	}
 
 	fmt.Println("== 2. FEBO: basic arithmetic over an encrypted operand ==")
 	bopk, err := auth.FEBOPublic()
@@ -101,6 +104,9 @@ func run() error {
 			return err
 		}
 		fmt.Printf("   enc(123) %s 45 = %d\n", op, res)
+		if want, _ := op.Apply(secret, operand); res != want {
+			return fmt.Errorf("FEBO %s recovered %d, plaintext says %d", op, res, want)
+		}
 	}
 	fmt.Println()
 
@@ -131,8 +137,17 @@ func run() error {
 		return err
 	}
 	fmt.Println("   W·X over encrypted X:")
-	for _, row := range Z {
+	for i, row := range Z {
 		fmt.Printf("   %v\n", row)
+		for j, v := range row {
+			want := int64(0)
+			for k := range W[i] {
+				want += W[i][k] * X[k][j]
+			}
+			if v != want {
+				return fmt.Errorf("secure dot (%d,%d) = %d, plaintext says %d", i, j, v, want)
+			}
+		}
 	}
 
 	// Element-wise subtraction (the P − Y step of secure evaluation).
@@ -145,8 +160,13 @@ func run() error {
 		return err
 	}
 	fmt.Println("   X − P over encrypted X:")
-	for _, row := range D {
+	for i, row := range D {
 		fmt.Printf("   %v\n", row)
+		for j, v := range row {
+			if want := X[i][j] - P[i][j]; v != want {
+				return fmt.Errorf("secure subtraction (%d,%d) = %d, plaintext says %d", i, j, v, want)
+			}
+		}
 	}
 
 	fmt.Println("\nThe server computed every result above without seeing x or X.")

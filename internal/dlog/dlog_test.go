@@ -13,9 +13,14 @@ import (
 
 func newTestSolver(t testing.TB, bound int64) *Solver {
 	t.Helper()
-	s, err := NewSolver(group.TestParams(), bound)
+	return newSolverFor(t, group.TestParams(), bound)
+}
+
+func newSolverFor(t testing.TB, p *group.Params, bound int64) *Solver {
+	t.Helper()
+	s, err := NewSolver(p, bound)
 	if err != nil {
-		t.Fatalf("NewSolver: %v", err)
+		t.Fatalf("NewSolver(%d): %v", bound, err)
 	}
 	return s
 }
@@ -156,15 +161,25 @@ func TestTableSizeScalesWithSqrtBound(t *testing.T) {
 	}
 }
 
-// Regression: the final giant step can match a shifted value just past
-// 2*bound; the scan must continue (not break) and the exact boundary
-// values x = ±Bound must resolve for bounds with every residue of the
-// search range size n = 2b+1 modulo the baby-step count m.
+// Regression: the outermost giant step can match a value just past the
+// bound; the scan must continue (not break) and the exact boundary values
+// x = ±Bound must resolve for bounds with every residue of Bound modulo
+// the baby-step count m. The seams of the outward scan — ±i·m, where one
+// round hands over to the next, and their neighbours ±(i·m ± 1) — must
+// resolve in every round.
 func TestLookupExactBoundarySweep(t *testing.T) {
 	p := group.TestParams()
-	for _, bound := range []int64{1, 2, 3, 4, 7, 10, 31, 99, 100, 127, 1023} {
+	for _, bound := range []int64{1, 2, 3, 4, 7, 10, 31, 99, 100, 127, 1023, 250_000} {
 		s := newTestSolver(t, bound)
-		for _, x := range []int64{-bound, -bound + 1, 0, bound - 1, bound} {
+		xs := []int64{-bound, -bound + 1, 0, bound - 1, bound}
+		for i := int64(0); i <= s.reach; i++ {
+			for _, d := range []int64{-1, 0, 1} {
+				if x := i*s.m + d; x <= bound {
+					xs = append(xs, x, -x)
+				}
+			}
+		}
+		for _, x := range xs {
 			got, err := s.Lookup(p.PowGInt64(x))
 			if err != nil {
 				t.Fatalf("bound=%d: Lookup(g^%d): %v", bound, x, err)
@@ -259,33 +274,90 @@ func TestLookupCollisionFallsBackToSpill(t *testing.T) {
 	}
 	s.tab.vals[slot] = 2 + 1 // wrong j in the main table
 	s.tab.spill = append(s.tab.spill, spillEntry{key: key, j: 4})
-	want := int64(4) - s.bound + 0*s.m // x whose first giant step hits baby 4
-	got, err := s.Lookup(p.PowGInt64(want))
-	if err != nil {
-		t.Fatalf("Lookup via spill: %v", err)
+	// x = 4 lands on baby 4 in the first upward probe, x = 4 − m in the
+	// first downward one.
+	for _, want := range []int64{4, 4 - s.m} {
+		got, err := s.Lookup(p.PowGInt64(want))
+		if err != nil {
+			t.Fatalf("Lookup(g^%d) via spill: %v", want, err)
+		}
+		if got != want {
+			t.Fatalf("Lookup via spill = %d, want %d", got, want)
+		}
 	}
-	if got != want {
-		t.Fatalf("Lookup via spill = %d, want %d", got, want)
+}
+
+// checkNaiveOracle runs every x in [−B−2, B+2] through both Lookup and
+// LookupMont against naive Params.Exp ground truth: the two entry points
+// must agree, every in-range x must resolve exactly, and the four values
+// just past ±B must report ErrNotFound. At a small bound this covers every
+// seam of the outward scan.
+func checkNaiveOracle(t *testing.T, s *Solver) {
+	t.Helper()
+	p := s.params
+	mc := p.Mont()
+	hm := mc.Elem()
+	var e big.Int
+	b := s.Bound()
+	for x := -b - 2; x <= b+2; x++ {
+		h := p.Exp(p.G, e.SetInt64(x))
+		mc.ToMont(hm, h)
+		got, err := s.Lookup(h)
+		gotM, errM := s.LookupMont(hm)
+		if got != gotM || (err == nil) != (errM == nil) {
+			t.Fatalf("x=%d: Lookup = (%d, %v), LookupMont = (%d, %v)", x, got, err, gotM, errM)
+		}
+		if x < -b || x > b {
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("bound=%d: Lookup(Exp(g,%d)) err = %v, want ErrNotFound", b, x, err)
+			}
+			continue
+		}
+		if err != nil || got != x {
+			t.Fatalf("bound=%d: Lookup(Exp(g,%d)) = (%d, %v)", b, x, got, err)
+		}
 	}
 }
 
 // The Montgomery-domain scan must agree with the group's naive big.Int
-// arithmetic on collision-heavy inputs: a dense stripe of values around
-// both bounds, compared against Params.Exp ground truth.
+// arithmetic exhaustively, on a freshly built core and on one restored
+// from the table cache: a warm start must derive nothing and answer
+// exactly as the cold build does.
 func TestLookupMatchesNaiveExp(t *testing.T) {
-	p := group.TestParams()
-	s := newTestSolver(t, 300)
-	var e big.Int
-	for x := int64(-300); x <= 300; x += 7 {
-		h := p.Exp(p.G, e.SetInt64(x))
-		got, err := s.Lookup(h)
+	const bound = 300
+	t.Run("fresh", func(t *testing.T) {
+		s := newTestSolver(t, bound)
+		if s.reach < 10 {
+			t.Fatalf("reach = %d rounds; the oracle needs many seams", s.reach)
+		}
+		checkNaiveOracle(t, s)
+	})
+	t.Run("warm-start", func(t *testing.T) {
+		tc, err := group.OpenTableCache(t.TempDir())
 		if err != nil {
-			t.Fatalf("Lookup(Exp(g,%d)): %v", x, err)
+			t.Fatal(err)
 		}
-		if got != x {
-			t.Fatalf("Lookup(Exp(g,%d)) = %d", x, got)
+		coldP := group.TestParams()
+		coldP.UseTableCache(tc)
+		cold := newSolverFor(t, coldP, bound)
+		before := tc.Stats()
+		warmP := group.TestParams()
+		warmP.UseTableCache(tc)
+		warm := newSolverFor(t, warmP, bound)
+		after := tc.Stats()
+		if after.Writes != before.Writes || after.Hits == before.Hits {
+			t.Fatalf("warm start derived tables: cache %v → %v", before, after)
 		}
-	}
+		if &warm.elems[0] == &cold.elems[0] {
+			t.Fatal("warm solver shares the cold core; cache not exercised")
+		}
+		for i := range cold.giantP {
+			if warm.giantP[i] != cold.giantP[i] || warm.giantM[i] != cold.giantM[i] {
+				t.Fatal("warm giant steps differ from the cold build")
+			}
+		}
+		checkNaiveOracle(t, warm)
+	})
 }
 
 // The paper-scale 256-bit group exercises the multi-limb Montgomery path.
@@ -349,6 +421,38 @@ func BenchmarkLookupParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkLookupCentered measures the outward scan's cost shape at the
+// paper's 256-bit group and the training bound max(196·100·400,
+// 64·100·400·100) = 2.56e8 (table height m = 22,628): a value at zero
+// resolves in the first round, one just below zero in the second, and
+// x ≈ −0.99·B — the far end of the downward probe — is the worst case.
+func BenchmarkLookupCentered(b *testing.B) {
+	p := group.PaperParams()
+	const bound = 256_000_000
+	s, err := NewSolver(p, bound)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		x    int64
+	}{
+		{"x=0", 0},
+		{"x=-half-m", -s.m / 2},
+		{"x=-0.99B", -bound / 100 * 99},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			h := p.PowGInt64(c.x)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Lookup(h); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestSolverSharesCore: two solvers over the same Params must share one
 // baby-step core when the second one's bound fits the already-built table
 // — the whole point of the per-Params core cache.
@@ -386,31 +490,22 @@ func TestSolverSharesCore(t *testing.T) {
 	}
 }
 
-// TestSolverReusedCoreCorrectness exercises a solver running on a core
+// TestSolverReusedCoreCorrectness exercises solvers running on a core
 // built for a much larger bound: the taller table changes m and the giant
 // stride, so exhaustive and boundary lookups (±Bound exactly) plus
-// out-of-range rejection must still hold.
+// out-of-range rejection must still hold — both for a bound below one
+// table height (a single outward round) and for one spanning a few.
 func TestSolverReusedCoreCorrectness(t *testing.T) {
 	params := group.TestParams()
-	if _, err := NewSolver(params, 250_000); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSolver(params, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := int64(-50); x <= 50; x++ {
-		got, err := s.Lookup(params.PowGInt64(x))
-		if err != nil {
-			t.Fatalf("Lookup(g^%d): %v", x, err)
+	tall := newSolverFor(t, params, 250_000)
+	for _, bound := range []int64{50, 2000} {
+		s := newSolverFor(t, params, bound)
+		if s.tab != tall.tab {
+			t.Fatalf("bound=%d did not reuse the taller core", bound)
 		}
-		if got != x {
-			t.Fatalf("Lookup(g^%d) = %d", x, got)
-		}
-	}
-	for _, x := range []int64{51, -51, 40_000} {
-		if _, err := s.Lookup(params.PowGInt64(x)); !errors.Is(err, ErrNotFound) {
-			t.Errorf("Lookup(g^%d) err = %v, want ErrNotFound", x, err)
+		checkNaiveOracle(t, s)
+		if _, err := s.Lookup(params.PowGInt64(40_000)); !errors.Is(err, ErrNotFound) {
+			t.Errorf("bound=%d: Lookup(g^40000) err = %v, want ErrNotFound", bound, err)
 		}
 	}
 }

@@ -10,6 +10,16 @@
 // baby-step table so the expensive part is paid once per (group, bound)
 // pair rather than once per decryption.
 //
+// The giant steps scan outward from zero. Round i probes h·g^{−im}, which
+// matches baby step j when x = i·m + j, and h·g^{+im}, which matches when
+// x = −i·m + j, for i = 0, 1, …, ⌈B/m⌉. A lookup of x therefore costs
+// O(|x|/m + 1) multiplications, where m ≈ sqrt(2B+1) is the table height.
+// The small activations and gradients of a training step resolve in a
+// round or two. The worst case is unchanged at about 2B/m
+// multiplications, and it now sits at x ≈ −B, the last value the
+// downward probe reaches. The log in [−B, B] is unique, so the
+// first in-range match is the answer whichever probe finds it.
+//
 // The solver's hot loop is specialized two ways beyond the textbook
 // algorithm. All group arithmetic runs in the Montgomery domain
 // (group.MontCtx), so each giant step is a division-free limb

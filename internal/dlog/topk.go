@@ -11,7 +11,7 @@ import (
 //
 // An extreme multi-label head produces thousands of logit elements g^{z_i}
 // per sample, of which only the k largest z_i matter. Solving every dlog
-// costs ~steps/2 giant steps per label; the top-k scan instead runs ONE
+// costs ~2|z_i|/m giant steps per label; the top-k scan instead runs ONE
 // giant-step ladder simultaneously across all labels, in descending value
 // order, and stops as soon as the k winners have resolved.
 //

@@ -35,15 +35,17 @@
 //     multi-exponentiation for Π bases[i]^{e_i} with one shared squaring
 //     ladder, used by FEIP decryption where the naive path pays a full
 //     ladder per coordinate; MultiExpInt64MontParts exposes the
-//     sign-split halves in-domain for the batched decryption pipeline.
+//     sign-split halves in-domain for the batched decryption pipeline,
+//     splitting signs on the int64 exponents into a worker-owned
+//     MultiExpScratch so a cell allocates nothing.
 //
 // # Concurrency contract
 //
 // Tables are immutable once built, results are freshly allocated, and
 // the lazy per-Params generator table and Montgomery context are built
 // exactly once — Params remains safe for concurrent use, exactly like
-// dlog.Solver. The mutable scratch types (ExpMontScratch, the QuoRem
-// scratch in dlog) are single-goroutine and owned by their calling
+// dlog.Solver. The mutable scratch types (ExpMontScratch,
+// MultiExpScratch, the QuoRem scratch in dlog) are single-goroutine and owned by their calling
 // worker. Every accelerated path is property-tested against the naive
 // Exp (fixedbase_test.go, multiexp_test.go).
 package group

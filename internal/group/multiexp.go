@@ -2,6 +2,7 @@ package group
 
 import (
 	"math/big"
+	"math/bits"
 )
 
 // Simultaneous multi-exponentiation (Straus' interleaved windowed method,
@@ -30,75 +31,128 @@ import (
 // element in this codebase — the sign split relies on base^Q = 1).
 // bases and exps must have equal length (MultiExp panics otherwise, the
 // same contract as a mismatched index). An empty product is 1.
+//
+// A small negative exponent must become (base^{-1})^{|e|} via the sign
+// split, not a full-size e mod Q, so magnitudes are reduced mod Q only
+// when they reach it; zero (mod Q) exponents are dropped.
 func (p *Params) MultiExp(bases, exps []*big.Int) *big.Int {
-	posB, posE, negB, negE := p.splitSigned(bases, exps)
-	mc := p.Mont()
-	pos := mc.Elem()
-	p.strausProdMont(pos, posB, posE, nil)
-	if len(negB) == 0 {
-		return mc.FromMont(pos)
-	}
-	neg := mc.Elem()
-	p.strausProdMont(neg, negB, negE, nil)
-	return p.Div(mc.FromMont(pos), mc.FromMont(neg))
-}
-
-// MultiExpInt64 is MultiExp for machine-integer exponents; it converts via
-// one backing slab instead of a big.NewInt per coordinate, which matters
-// because FEIP decryption calls it once per output matrix cell. Zero
-// exponents are filtered before any big.Int is materialized, so a mostly-
-// zero exps (a sparse weight row against a dense ciphertext) only pays for
-// its non-zero coordinates.
-func (p *Params) MultiExpInt64(bases []*big.Int, exps []int64) *big.Int {
 	if len(bases) != len(exps) {
 		panic("group: MultiExp length mismatch")
 	}
-	bs, ptrs := packInt64Nonzero(bases, exps)
-	return p.MultiExp(bs, ptrs)
-}
-
-// packInt64Nonzero gathers the non-zero (base, exponent) pairs into compact
-// slices, backing all exponents with one slab. The order of surviving pairs
-// is preserved, which keeps products bit-identical with the unfiltered walk.
-func packInt64Nonzero(bases []*big.Int, exps []int64) ([]*big.Int, []*big.Int) {
-	nnz := 0
-	for _, e := range exps {
-		if e != 0 {
-			nnz++
-		}
-	}
-	vals := make([]big.Int, nnz)
-	bs := make([]*big.Int, nnz)
-	ptrs := make([]*big.Int, nnz)
-	t := 0
+	sc := MultiExpScratch{ew: (p.Q.BitLen() + 63) / 64}
+	limbs := make([]uint64, sc.ew)
+	var abs big.Int
 	for i, e := range exps {
-		if e == 0 {
+		if abs.Abs(e).Cmp(p.Q) >= 0 {
+			abs.Mod(&abs, p.Q)
+		}
+		if abs.Sign() == 0 {
 			continue
 		}
-		bs[t] = bases[i]
-		ptrs[t] = vals[t].SetInt64(e)
-		t++
+		packLimbs(limbs, &abs)
+		if e.Sign() < 0 {
+			sc.negB = append(sc.negB, bases[i])
+			sc.negE = append(sc.negE, limbs...)
+		} else {
+			sc.posB = append(sc.posB, bases[i])
+			sc.posE = append(sc.posE, limbs...)
+		}
 	}
-	return bs, ptrs
+	return p.quotient(&sc)
+}
+
+// MultiExpScratch is worker-owned scratch for the multi-exponentiations:
+// the sign-split bases and exponent magnitudes, and the Straus digit
+// tables. The zero value is ready for the int64 entry points; reusing one
+// across calls (the securemat decryption workers keep one each) makes the
+// steady state allocation-free. A scratch must not be shared between
+// goroutines.
+type MultiExpScratch struct {
+	posB, negB []*big.Int
+	posE, negE []uint64 // magnitudes, ew little-endian limbs each
+	ew         int      // limbs per magnitude
+	tab        []uint64
+}
+
+// reset empties the sign split for a run of int64 exponents, keeping
+// every slice's capacity.
+func (sc *MultiExpScratch) reset() {
+	sc.posB, sc.negB = sc.posB[:0], sc.negB[:0]
+	sc.posE, sc.negE = sc.posE[:0], sc.negE[:0]
+	sc.ew = 1
+}
+
+// push files (b, e) under e's sign with magnitude |e|. Zero exponents are
+// dropped. The magnitude is at most 2⁶³ and is not reduced mod Q: the
+// Straus ladder takes any non-negative exponent, and base^Q = 1 keeps the
+// product equal to the reduced one.
+func (sc *MultiExpScratch) push(b *big.Int, e int64) {
+	switch {
+	case e > 0:
+		sc.posB = append(sc.posB, b)
+		sc.posE = append(sc.posE, uint64(e))
+	case e < 0:
+		sc.negB = append(sc.negB, b)
+		sc.negE = append(sc.negE, -uint64(e))
+	}
+}
+
+// parts runs the Straus ladder over both halves of the split in sc: pos
+// receives Π over positive exponents, neg Π over |negative| ones.
+func (p *Params) parts(pos, neg []uint64, sc *MultiExpScratch) {
+	sc.tab = p.strausProdMont(pos, sc.posB, sc.posE, sc.ew, sc.tab)
+	sc.tab = p.strausProdMont(neg, sc.negB, sc.negE, sc.ew, sc.tab)
+}
+
+// quotient returns the split product pos/neg in sc as a standard-form
+// element, skipping the inversion when no exponent was negative.
+func (p *Params) quotient(sc *MultiExpScratch) *big.Int {
+	mc := p.Mont()
+	pos, neg := mc.Elem(), mc.Elem()
+	p.parts(pos, neg, sc)
+	if len(sc.negB) == 0 {
+		return mc.FromMont(pos)
+	}
+	return p.Div(mc.FromMont(pos), mc.FromMont(neg))
+}
+
+// MultiExpInt64 is MultiExp for machine-integer exponents, split on the
+// int64s directly so no big.Int is materialized per coordinate — FEIP
+// decryption calls it once per output matrix cell. Zero exponents are
+// skipped, so a mostly-zero exps (a sparse weight row against a dense
+// ciphertext) only pays for its non-zero coordinates.
+func (p *Params) MultiExpInt64(bases []*big.Int, exps []int64) *big.Int {
+	var sc MultiExpScratch
+	sc.splitDense(bases, exps)
+	return p.quotient(&sc)
+}
+
+// splitDense fills sc with the non-zero pairs of a dense exponent vector,
+// in order.
+func (sc *MultiExpScratch) splitDense(bases []*big.Int, exps []int64) {
+	if len(bases) != len(exps) {
+		panic("group: MultiExp length mismatch")
+	}
+	sc.reset()
+	for i, e := range exps {
+		sc.push(bases[i], e)
+	}
 }
 
 // MultiExpInt64MontParts computes the sign-split halves of Π bases[i]^exps[i]
 // in the Montgomery domain: pos receives Π over positive exponents, neg the
 // Π over |negative| exponents (each 1 when its partition is empty), so the
 // full product is pos/neg. Both must be caller slices of Mont().Limbs()
-// length. scratch is optional table scratch, grown as needed and returned
-// for reuse — the securemat decryption workers call this once per output
-// cell and keep one slab per worker. bases and exps must have equal length
+// length. sc is the caller's reusable scratch (nil allocates a fresh one)
+// — the securemat decryption workers call this once per output cell and
+// keep one scratch per worker. bases and exps must have equal length
 // (panics otherwise, like MultiExp).
-func (p *Params) MultiExpInt64MontParts(pos, neg []uint64, bases []*big.Int, exps []int64, scratch []uint64) []uint64 {
-	if len(bases) != len(exps) {
-		panic("group: MultiExp length mismatch")
+func (p *Params) MultiExpInt64MontParts(pos, neg []uint64, bases []*big.Int, exps []int64, sc *MultiExpScratch) {
+	if sc == nil {
+		sc = new(MultiExpScratch)
 	}
-	bs, ptrs := packInt64Nonzero(bases, exps)
-	posB, posE, negB, negE := p.splitSigned(bs, ptrs)
-	scratch = p.strausProdMont(pos, posB, posE, scratch)
-	scratch = p.strausProdMont(neg, negB, negE, scratch)
-	return scratch
+	sc.splitDense(bases, exps)
+	p.parts(pos, neg, sc)
 }
 
 // MultiExpInt64Sparse computes Π bases[idx[t]]^vals[t] mod P for a sparse
@@ -112,97 +166,58 @@ func (p *Params) MultiExpInt64MontParts(pos, neg []uint64, bases []*big.Int, exp
 // same as the dense path summing can't express — callers pass canonical
 // (strictly increasing) supports.
 func (p *Params) MultiExpInt64Sparse(bases []*big.Int, idx []int, vals []int64) *big.Int {
-	bs, ptrs := gatherSparse(bases, idx, vals)
-	return p.MultiExp(bs, ptrs)
+	var sc MultiExpScratch
+	sc.splitSparse(bases, idx, vals)
+	return p.quotient(&sc)
 }
 
 // MultiExpInt64SparseMontParts is the Montgomery-domain sign-split variant
 // of MultiExpInt64Sparse, the sparse analogue of MultiExpInt64MontParts:
-// pos/neg receive the positive and |negative| partial products and scratch
-// is grown and returned for reuse.
-func (p *Params) MultiExpInt64SparseMontParts(pos, neg []uint64, bases []*big.Int, idx []int, vals []int64, scratch []uint64) []uint64 {
-	bs, ptrs := gatherSparse(bases, idx, vals)
-	posB, posE, negB, negE := p.splitSigned(bs, ptrs)
-	scratch = p.strausProdMont(pos, posB, posE, scratch)
-	scratch = p.strausProdMont(neg, negB, negE, scratch)
-	return scratch
+// pos/neg receive the positive and |negative| partial products, and sc is
+// the caller's reusable scratch (nil allocates).
+func (p *Params) MultiExpInt64SparseMontParts(pos, neg []uint64, bases []*big.Int, idx []int, vals []int64, sc *MultiExpScratch) {
+	if sc == nil {
+		sc = new(MultiExpScratch)
+	}
+	sc.splitSparse(bases, idx, vals)
+	p.parts(pos, neg, sc)
 }
 
-func gatherSparse(bases []*big.Int, idx []int, vals []int64) ([]*big.Int, []*big.Int) {
+// splitSparse is splitDense for a coordinate-form exponent vector.
+func (sc *MultiExpScratch) splitSparse(bases []*big.Int, idx []int, vals []int64) {
 	if len(idx) != len(vals) {
 		panic("group: MultiExpSparse index/value length mismatch")
 	}
-	slab := make([]big.Int, len(idx))
-	bs := make([]*big.Int, 0, len(idx))
-	ptrs := make([]*big.Int, 0, len(idx))
+	sc.reset()
 	for t, i := range idx {
-		if vals[t] == 0 {
-			continue
-		}
-		bs = append(bs, bases[i])
-		ptrs = append(ptrs, slab[t].SetInt64(vals[t]))
+		sc.push(bases[i], vals[t])
 	}
-	return bs, ptrs
 }
 
-// splitSigned partitions (base, exponent) pairs into a positive and a
-// negative product, keeping exponent magnitudes small: a small negative y
-// must become (base^{-1})^{|y|} via the split, not a full-size y mod Q.
-// The scratch slab keeps normalization from allocating per element. Zero
-// (mod Q) exponents are dropped. bases and exps must have equal length.
-func (p *Params) splitSigned(bases, exps []*big.Int) (posB, posE, negB, negE []*big.Int) {
-	if len(bases) != len(exps) {
-		panic("group: MultiExp length mismatch")
-	}
-	posB = make([]*big.Int, 0, len(bases))
-	posE = make([]*big.Int, 0, len(bases))
-	scratch := make([]big.Int, len(exps))
-	for i, e := range exps {
-		if e.Sign() == 0 {
-			continue
-		}
-		abs := e
-		neg := e.Sign() < 0
-		if neg {
-			abs = scratch[i].Neg(e)
-		}
-		if abs.Cmp(p.Q) >= 0 {
-			abs = scratch[i].Mod(abs, p.Q)
-			if abs.Sign() == 0 {
-				continue
-			}
-		}
-		if neg {
-			negB = append(negB, bases[i])
-			negE = append(negE, abs)
-		} else {
-			posB = append(posB, bases[i])
-			posE = append(posE, abs)
-		}
-	}
-	return posB, posE, negB, negE
-}
-
-// strausProdMont computes Π bases[i]^exps[i] for non-negative exponents
-// < Q into dst as a Montgomery-domain element (1 for an empty product), by
-// interleaved windowed exponentiation: one shared squaring ladder of
-// max-bits height, with per-base digit tables of 2^w−1 entries.
+// strausProdMont computes Π bases[i]^exps[i] into dst as a Montgomery-
+// domain element (1 for an empty product), by interleaved windowed
+// exponentiation: one shared squaring ladder of max-bits height, with
+// per-base digit tables of 2^w−1 entries. exps holds one non-negative
+// magnitude of ew little-endian limbs per base.
 //
 // The whole ladder runs in the Montgomery domain: the digit tables are one
 // flat limb slab built with MulMont, and every squaring and digit
 // multiplication reduces without a division. Only the initial per-base
 // ToMont touches big.Int arithmetic. scratch backs the digit tables; it is
 // grown when too small and returned for reuse.
-func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int, scratch []uint64) []uint64 {
+func (p *Params) strausProdMont(dst []uint64, bases []*big.Int, exps []uint64, ew int, scratch []uint64) []uint64 {
 	mc := p.Mont()
 	if len(bases) == 0 {
 		mc.SetOne(dst)
 		return scratch
 	}
 	maxBits := 0
-	for _, e := range exps {
-		if b := e.BitLen(); b > maxBits {
-			maxBits = b
+	for j := range bases {
+		for l := ew - 1; l >= 0; l-- {
+			if e := exps[j*ew+l]; e != 0 {
+				maxBits = max(maxBits, 64*l+bits.Len64(e))
+				break
+			}
 		}
 	}
 	// Window width by ladder height: short ladders (tiny plaintext
@@ -235,8 +250,8 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int, scratch []
 				mc.SquareMont(dst, dst)
 			}
 		}
-		for j, e := range exps {
-			if d := windowDigit(e, i, w); d != 0 {
+		for j := range bases {
+			if d := limbDigit(exps[j*ew:(j+1)*ew], i, w); d != 0 {
 				entry := tab[(j*rows+int(d)-1)*k:]
 				if !started {
 					copy(dst[:k], entry[:k])
@@ -251,4 +266,12 @@ func (p *Params) strausProdMont(dst []uint64, bases, exps []*big.Int, scratch []
 		mc.SetOne(dst) // every digit zero: exponents were all 0 mod Q
 	}
 	return scratch
+}
+
+// limbDigit extracts the i-th w-bit digit of the little-endian limb
+// exponent e. No digit straddles two limbs: w divides 64 (2 or 4)
+// whenever an exponent is wider than 32 bits.
+func limbDigit(e []uint64, i, w int) uint64 {
+	off := i * w
+	return e[off/64] >> uint(off%64) & (1<<uint(w) - 1)
 }

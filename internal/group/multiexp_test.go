@@ -2,6 +2,7 @@ package group_test
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -126,6 +127,15 @@ func TestMultiExpInt64MatchesMultiExp(t *testing.T) {
 			t.Fatalf("trial %d: MultiExpInt64 mismatch", trial)
 		}
 	}
+	// The extremes of int64: |MinInt64| = 2⁶³ only fits the unsigned
+	// magnitude, and neither end is reduced mod Q before the ladder.
+	bases := randomBases(params, rng, 3)
+	for _, e := range []int64{math.MinInt64, math.MaxInt64, -1} {
+		want := params.Exp(bases[1], big.NewInt(e))
+		if got := params.MultiExpInt64(bases, []int64{0, e, 0}); got.Cmp(want) != 0 {
+			t.Fatalf("MultiExpInt64 exponent %d: got %v want %v", e, got, want)
+		}
+	}
 }
 
 // sparseCase materializes a coordinate-form sparse vector plus its dense
@@ -163,7 +173,7 @@ func TestMultiExpSparseMatchesDense(t *testing.T) {
 			neg := make([]uint64, k)
 			dPos := make([]uint64, k)
 			dNeg := make([]uint64, k)
-			var scratch []uint64
+			var sc group.MultiExpScratch
 			for _, density := range []float64{0, 0.01, 0.5, 1} {
 				for trial := 0; trial < 8; trial++ {
 					n := 1 + rng.Intn(200)
@@ -173,8 +183,8 @@ func TestMultiExpSparseMatchesDense(t *testing.T) {
 					if got := params.MultiExpInt64Sparse(bases, idx, vals); got.Cmp(want) != 0 {
 						t.Fatalf("density=%g trial %d: sparse %v want %v", density, trial, got, want)
 					}
-					scratch = params.MultiExpInt64SparseMontParts(pos, neg, bases, idx, vals, scratch)
-					scratch = params.MultiExpInt64MontParts(dPos, dNeg, bases, dense, scratch)
+					params.MultiExpInt64SparseMontParts(pos, neg, bases, idx, vals, &sc)
+					params.MultiExpInt64MontParts(dPos, dNeg, bases, dense, &sc)
 					for i := 0; i < k; i++ {
 						if pos[i] != dPos[i] || neg[i] != dNeg[i] {
 							t.Fatalf("density=%g trial %d: Mont parts diverge at limb %d", density, trial, i)
@@ -225,7 +235,7 @@ func TestMultiExpInt64MontPartsMatchesNaive(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(bits) + 42))
 			pos := make([]uint64, k)
 			neg := make([]uint64, k)
-			var scratch []uint64
+			var sc group.MultiExpScratch
 			for trial := 0; trial < 30; trial++ {
 				n := 1 + rng.Intn(12)
 				bases := randomBases(params, rng, n)
@@ -238,7 +248,7 @@ func TestMultiExpInt64MontPartsMatchesNaive(t *testing.T) {
 					}
 					eBig[i] = big.NewInt(exps[i])
 				}
-				scratch = params.MultiExpInt64MontParts(pos, neg, bases, exps, scratch)
+				params.MultiExpInt64MontParts(pos, neg, bases, exps, &sc)
 				got := params.Div(mc.FromMont(pos), mc.FromMont(neg))
 				if want := naiveProduct(params, bases, eBig); got.Cmp(want) != 0 {
 					t.Fatalf("trial %d: pos/neg = %v, want %v", trial, got, want)

@@ -101,7 +101,7 @@ func decryptDotBatched(p *group.Params, solver *dlog.Solver, cts []*feip.Ciphert
 		ts     []uint64 // per-cell (negative half · denominator), then its inverse
 		neg    []uint64
 		inv    []uint64 // batch-inversion prefix scratch
-		straus []uint64 // MultiExp table scratch
+		straus group.MultiExpScratch
 	}
 	newScratch := func() *dotScratch {
 		return &dotScratch{
@@ -115,7 +115,7 @@ func decryptDotBatched(p *group.Params, solver *dlog.Solver, cts []*feip.Ciphert
 		for t, idx := 0, start; idx < end; t, idx = t+1, idx+1 {
 			i, j := idx/cols, idx%cols
 			num := sc.nums[t*k : (t+1)*k]
-			sc.straus = p.MultiExpInt64MontParts(num, sc.neg, cts[j].Ct, vecs[i], sc.straus)
+			p.MultiExpInt64MontParts(num, sc.neg, cts[j].Ct, vecs[i], &sc.straus)
 			// The cell value is numPos / (numNeg · den); fold the negative
 			// half into the denominator so the chunk inverts once.
 			mc.MulMont(sc.ts[t*k:(t+1)*k], sc.neg, dens[idx*k:(idx+1)*k])

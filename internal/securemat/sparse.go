@@ -26,6 +26,7 @@ import (
 
 	"cryptonn/internal/dlog"
 	"cryptonn/internal/feip"
+	"cryptonn/internal/group"
 )
 
 // DefaultSparseThreshold is the column density at or below which
@@ -536,7 +537,7 @@ func (e *Engine) forEachSparseColumn(enc *SparseEncryptedMatrix, keys [][]*feip.
 		ts      []uint64 // (numNeg · denPos), batch-inverted in place
 		neg     []uint64
 		inv     []uint64
-		straus  []uint64
+		straus  group.MultiExpScratch
 	}
 	newScratch := func() *colScratch {
 		return &colScratch{
@@ -573,7 +574,7 @@ func (e *Engine) forEachSparseColumn(enc *SparseEncryptedMatrix, keys [][]*feip.
 						sc.ys = append(sc.ys, w[i][c])
 					}
 					num := sc.nums[i*kl : (i+1)*kl]
-					sc.straus = p.MultiExpInt64MontParts(num, sc.neg, ct.Ct, sc.ys, sc.straus)
+					p.MultiExpInt64MontParts(num, sc.neg, ct.Ct, sc.ys, &sc.straus)
 					// Cell value = numPos·denNeg / (numNeg·denPos): fold the
 					// numerator's negative half into the to-invert term.
 					mc.MulMont(den, den, sc.neg)
